@@ -5,6 +5,10 @@ Configs are flat ``key = value`` text with ``#`` comments.  Every run writes
 one CSV per (experiment, chi[, boundary]) plus ``run_manifest.json``.  CSVs
 are deterministic for a fixed config and seed; the manifest is not (it
 records wall time).
+
+Every subcommand runs BLAS on one thread and spends the cores on independent
+(chi, boundary) jobs instead, so CSV bytes do not depend on ``--threads`` or
+on the host's core count.
 """
 from __future__ import annotations
 
@@ -17,14 +21,15 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import __version__
-from .models import Impurity, ModelSpec, trotterize
+from .models import Impurity, ModelSpec, trotter_steps, trotterize
 from .influence import NumericalInstabilityError
 from .oracles import ResourceLimitError
+from .tensor import one_blas_thread
 
 EXPERIMENTS = ("floquet-czz", "hamiltonian-impurity", "quench", "dtc",
                "entropy-scan", "oracle-check")
@@ -83,6 +88,12 @@ class ExperimentConfig:
         return self.raw.get(name, default)
 
 
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
 def _parse_value(key: str, text: str):
     kind = _KEYS[key]
     try:
@@ -91,13 +102,13 @@ def _parse_value(key: str, text: str):
         if kind is int:
             return int(text)
         if kind is float:
-            return float(text)
+            return _finite(float(text))
         if kind == "bool":
             return _BOOL[text.lower()]
         if kind == "int_list":
             return [int(x) for x in text.split(",") if x.strip()]
         if kind == "float_list":
-            return [float(x) for x in text.split(",") if x.strip()]
+            return [_finite(float(x)) for x in text.split(",") if x.strip()]
         if kind == "str_list":
             return [x.strip() for x in text.split(",") if x.strip()]
     except (ValueError, KeyError) as exc:
@@ -140,7 +151,31 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("entropy-scan over T_list needs J, g, h or eps_kick")
     if not raw.get("chi", [1]):
         raise ConfigError("chi list is empty")
+    _check_ranges(exp, raw)
     return ExperimentConfig(exp, raw)
+
+
+def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
+    """Reject counts below 1, a negative step and time grids that are not
+    whole steps."""
+    for key in ("chi", "T_list"):
+        if any(v < 1 for v in raw.get(key, ())):
+            raise ConfigError(f"every {key} value must be >= 1")
+    for key in ("T_max", "tmax"):
+        if raw.get(key, 1) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if raw.get("eps", 0.0) < 0:
+        raise ConfigError("eps must be >= 0")
+    grids = []
+    if exp in ("quench", "hamiltonian-impurity"):
+        grids = [("t_max", raw["t_max"], raw["eps"])]
+    elif "eps_list" in raw:
+        grids = [("t", raw["t"], e) for e in raw["eps_list"]]
+    for name, t, eps in grids:
+        try:
+            trotter_steps(t, eps)
+        except ValueError as exc:
+            raise ConfigError(f"{name}/eps: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -241,11 +276,12 @@ def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
         return jobs
     if exp == "quench":
         for chi in chis:
-            def job(chi=chi):
-                return quench_magnetization_series(
-                    cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
-                    preserve_weak_bonds=pwb, reuse_im=reuse)
-            jobs.append(((chi, "open"), job))
+            for b in boundaries:
+                def job(chi=chi, b=b):
+                    return quench_magnetization_series(
+                        cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
+                        boundary=b, preserve_weak_bonds=pwb, reuse_im=reuse)
+                jobs.append(((chi, b), job))
         return jobs
     spec = _spec_for(cfg)
     for chi in chis:
@@ -259,20 +295,26 @@ def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
-                   threads: int) -> List[str]:
+                   threads: Optional[int] = None) -> Tuple[List[str], int]:
+    """Write the config's CSVs; returns their paths and the job workers used.
+
+    ``threads`` caps the workers (see ``_thread_count``); with one worker
+    the jobs run serially on the calling thread.
+    """
     if cfg.experiment == "oracle-check":
         rc = oracle_check(cfg.get("tmax", 4))
         if rc != 0:
             raise NumericalInstabilityError("oracle cross-checks failed")
-        return []
+        return [], 1
     jobs = _series_jobs(cfg, seed)
+    workers = _thread_count(threads, len(jobs))
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
     if cfg.experiment == "entropy-scan" and "eps_list" in cfg.raw:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
     results: Dict[tuple, object] = {}
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             futs = {pool.submit(fn): key for key, fn in jobs}
             for fut, key in futs.items():
                 results[key] = fut.result()
@@ -286,15 +328,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
         path = os.path.join(out_dir, f"{cfg.experiment}{suffix}.csv")
         write_series_csv(path, series, chi, eps, boundary, seed)
         written.append(path)
-    return written
+    return written, workers
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, seed: Optional[int],
-                   wall: float, files: Sequence[str]) -> str:
+                   wall: float, files: Sequence[str],
+                   threads: Dict[str, Optional[int]]) -> str:
+    """``threads`` is the layout, ``{"jobs": workers, "blas": 1 or None}``."""
     path = os.path.join(out_dir, "run_manifest.json")
     doc = {"config": cfg.raw, "engine_version": __version__,
            "experiment": cfg.experiment, "files": [os.path.basename(f) for f in files],
-           "seed": seed, "wall_time_s": wall}
+           "seed": seed, "threads": threads, "wall_time_s": wall}
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     with os.fdopen(fd, "w") as f:
@@ -315,7 +359,6 @@ def _check(name: str, got: float, tol: float, report: list) -> None:
 def oracle_check(tmax: int = 4) -> int:
     """Dense-vs-MPS cross-check battery; 0 when everything agrees."""
     from .influence import build_disorder_slice, build_transfer_slice, solve_im
-    from .mps import mps_from_dense
     from .observables import (InsertionPlan, Insertion, czz_plan,
                               autocorrelator_series, temporal_contract)
     from .models import floquet_kernel
@@ -364,14 +407,25 @@ def oracle_check(tmax: int = 4) -> int:
 
 # ----------------------------------------------------------------------- main
 
-def _thread_count(arg: Optional[int]) -> int:
-    if arg is not None:
-        return max(1, arg)
-    env = os.environ.get("TEMPORAL_IM_THREADS", "")
+def _usable_cores() -> int:
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_count(arg: Optional[int], n_jobs: int) -> int:
+    """Job workers: ``--threads``, else ``TEMPORAL_IM_THREADS``, else the
+    usable cores; never more than the jobs, never fewer than one."""
+    if arg is None:
+        env = os.environ.get("TEMPORAL_IM_THREADS", "")
+        try:
+            arg = int(env) if env else None
+        except ValueError:
+            arg = None
+    if arg is None:
+        arg = _usable_cores()
+    return max(1, min(arg, n_jobs))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -382,30 +436,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=".")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="jobs run at once (default: TEMPORAL_IM_THREADS, "
+                            "else the usable cores; at most the jobs)")
     p_orc = sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     p_orc.add_argument("--tmax", type=int, default=4)
     p_ent = sub.add_parser("entropy", help="entropy scan from a config")
     p_ent.add_argument("config")
     args = parser.parse_args(argv)
+    with one_blas_thread() as blas:
+        return _dispatch(args, blas)
 
+
+def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
     try:
         if args.command == "oracle-check":
+            if args.tmax < 1:
+                raise ConfigError("--tmax must be >= 1")
             return EXIT_UNSTABLE if oracle_check(args.tmax) else 0
         cfg = load_config(args.config)
         if args.command == "entropy":
             if cfg.experiment != "entropy-scan":
                 raise ConfigError("entropy subcommand needs experiment = entropy-scan")
-            out_dir, seed, threads = cfg.get("out", "."), cfg.get("seed"), 1
+            out_dir, seed, threads = cfg.get("out", "."), cfg.get("seed"), None
         else:
             out_dir = args.out
             seed = args.seed if args.seed is not None else cfg.get("seed")
-            threads = _thread_count(args.threads)
+            threads = args.threads
         if cfg.experiment == "dtc" and seed is None:
             raise ConfigError("dtc runs require a seed")
         t0 = time.monotonic()
-        files = run_experiment(cfg, out_dir, seed, threads)
-        write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files)
+        files, workers = run_experiment(cfg, out_dir, seed, threads)
+        write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,
+                       {"jobs": workers, "blas": blas})
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ folded chain intact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -156,16 +157,22 @@ def floquet_kernel(spec: ModelSpec, site_role: str = "bulk") -> LocalKernel:
                        g_eff=g_eff, h_eff=h_eff, split=spec.split_kick)
 
 
+def trotter_steps(t: float, eps: float) -> int:
+    """Step count T = t/eps; ValueError unless it is a positive integer."""
+    if not eps > 0:
+        raise ValueError("eps must be > 0")
+    ratio = t / eps
+    T = int(round(ratio)) if math.isfinite(ratio) else 0
+    if T < 1 or abs(ratio - T) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(f"t/eps = {ratio} is not an integer step count")
+    return T
+
+
 def trotterize(J: float, g: float, h: float, t: float, eps: float,
                **kwargs) -> ModelSpec:
     """Spec for continuous evolution to time t in steps of eps (T = t/eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    ratio = t / eps
-    T = int(round(ratio))
-    if T < 1 or abs(ratio - T) > 1e-9 * max(1.0, abs(ratio)):
-        raise ValueError(f"t/eps = {ratio} is not an integer step count")
-    return ModelSpec(J=J, g=g, h=h, T=T, eps=eps, trotter_order=2, **kwargs)
+    return ModelSpec(J=J, g=g, h=h, T=trotter_steps(t, eps), eps=eps,
+                     trotter_order=2, **kwargs)
 
 
 def folded_kick_links(K: np.ndarray) -> np.ndarray:

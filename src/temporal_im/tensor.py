@@ -1,4 +1,5 @@
-"""Dense complex tensor primitives: contraction and truncated SVD.
+"""Dense complex tensor primitives: contraction, truncated SVD, and the BLAS
+thread pin the command line runs them under.
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -6,7 +7,9 @@ pair as (up,up), (up,down), (down,up), (down,down) -> 0..3, with up = +1.
 """
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Tuple
+import contextlib
+import ctypes
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -21,6 +24,16 @@ FOLDED_BWD = np.array([0, 1, 0, 1])
 
 # relative tolerance for treating neighbouring singular values as degenerate
 _MULTIPLET_RTOL = 1e-12
+
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy load:
+# the scipy-openblas wheels (ILP64 for numpy, LP64 for scipy), then plain
+# ILP64 and LP64 builds.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 class DimensionError(ValueError):
@@ -88,3 +101,54 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors
     w = float(np.sum(s[keep:] ** 2))
     return SvdFactors(np.ascontiguousarray(u[:, :keep]), s[:keep].copy(),
                       np.ascontiguousarray(vh[:keep]), w)
+
+
+# ------------------------------------------------------------ BLAS threads
+
+def _openblas_controls() -> List[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this
+    process, found through ``/proc/self/maps``; empty elsewhere."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, put in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, put):
+                controls.append((getattr(lib, get), getattr(lib, put)))
+                break
+    return controls
+
+
+def blas_threads() -> Tuple[int, ...]:
+    """Current thread count of each loaded OpenBLAS; empty if none is found."""
+    return tuple(get() for get, _ in _openblas_controls())
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[Optional[int]]:
+    """Run every loaded OpenBLAS on one thread inside the block.
+
+    The engine's SVDs are 64 to 512 wide at the bundled bond dimensions;
+    there OpenBLAS's own threads lose wall time or save little of it for
+    twice the CPU, and independent jobs use the cores better.  Results then
+    also do not depend on the host's core count.  Yields 1, or None when no OpenBLAS control was found
+    (the block then runs unchanged).  The caller's counts are restored on
+    exit.  Setting ``OPENBLAS_NUM_THREADS`` instead would have no effect once
+    numpy is loaded, and would leak into child processes.
+    """
+    controls = _openblas_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield 1 if controls else None
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)

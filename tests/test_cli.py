@@ -8,6 +8,7 @@ from temporal_im import cli
 from temporal_im.cli import (ConfigError, CSV_COLUMNS, load_config,
                              parse_config_text, write_series_csv)
 from temporal_im.observables import ResultSeries
+from temporal_im.tensor import _openblas_controls, blas_threads
 
 TINY_QUENCH = """
 # smallest useful quench run
@@ -88,6 +89,35 @@ def test_run_csv_values_against_library(tmp_path):
     assert np.allclose(got, ser.values.real, atol=1e-15)
 
 
+TINY_FLOQUET = """
+experiment = floquet-czz
+J = 0.8
+g = 0.7
+h = 0.6
+T_max = 2
+chi = 4
+"""
+
+
+@pytest.mark.parametrize("text", [
+    TINY_FLOQUET.replace("T_max = 2", "T_max = 0"),
+    TINY_FLOQUET + "eps = -0.1\n",
+    TINY_QUENCH.replace("chi = 8,4", "chi = 8,0"),
+    TINY_QUENCH.replace("t_max = 0.6", "t_max = 0.5"),  # 2.5 steps of 0.2
+    TINY_QUENCH.replace("eps = 0.2", "eps = 0"),
+    TINY_QUENCH.replace("J = 1.0", "J = nan"),
+    TINY_QUENCH.replace("h = 0.4", "h = inf"),
+    TINY_QUENCH.replace("g = 0.25", "g = -inf"),
+], ids=["T_max0", "eps_negative", "chi0", "t_max_not_steps", "eps0", "J_nan",
+        "h_inf", "g_minus_inf"])
+def test_run_rejects_bad_values(tmp_path, capsys, text):
+    cfgp = tmp_path / "bad.cfg"
+    cfgp.write_text(text)
+    assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_config_error_exit_code(tmp_path):
     cfgp = tmp_path / "bad.cfg"
     cfgp.write_text("experiment = quench\nJ = one\n")
@@ -96,6 +126,7 @@ def test_run_config_error_exit_code(tmp_path):
     # dtc without a seed anywhere must refuse to run
     assert cli.main(["run", str(cfgp)]) == 2
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
+    assert cli.main(["oracle-check", "--tmax", "0"]) == 2
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -143,3 +174,69 @@ def test_bundled_configs_parse():
     assert set(fig2.raw["boundary"]) == {"open", "perfect_dephaser"}
     fig5 = load_config(os.path.join(here, "fig5.cfg"))
     assert fig5.experiment == "dtc" and fig5.raw["chi"] == [32, 64]
+
+
+def test_quench_boundaries(tmp_path):
+    from temporal_im.observables import quench_magnetization_series
+    plain, both = tmp_path / "plain.cfg", tmp_path / "both.cfg"
+    plain.write_text(TINY_QUENCH)
+    both.write_text(TINY_QUENCH + "boundary = open,perfect_dephaser\n")
+    assert cli.main(["run", str(plain), "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["run", str(both), "--out", str(tmp_path / "b")]) == 0
+    for chi in (8, 4):
+        opened = (tmp_path / "b" / f"quench_chi{chi}.csv").read_bytes()
+        dephased = (tmp_path / "b" / f"quench_chi{chi}_perfect_dephaser.csv").read_bytes()
+        assert opened == (tmp_path / "p" / f"quench_chi{chi}.csv").read_bytes()
+        assert dephased != opened
+        for data, label in ((opened, "open"), (dephased, "perfect_dephaser")):
+            rows = data.decode().splitlines()[1:]
+            assert all(r.split(",")[8] == label for r in rows)
+    # both boundaries reach the same IM after T applications; the truncated
+    # chi = 4 solves still differ, and the CSV is the dephaser-boundary one
+    rows = dephased.decode().splitlines()[1:]
+    got = np.array([float(r.split(",")[1]) for r in rows])
+    ser = quench_magnetization_series(1.0, 0.25, 0.4, 0.6, 0.2, 4, 1e-12,
+                                      boundary="perfect_dephaser")
+    assert np.array_equal(got, ser.values.real)
+    ref = quench_magnetization_series(1.0, 0.25, 0.4, 0.6, 0.2, 4, 1e-12)
+    assert np.max(np.abs(ser.values - ref.values)) > 1e-12
+
+
+def test_thread_count_default(monkeypatch):
+    monkeypatch.delenv("TEMPORAL_IM_THREADS", raising=False)
+    cores = cli._usable_cores()
+    assert cli._thread_count(None, 1) == 1
+    assert cli._thread_count(None, 10 ** 6) == cores
+    assert cli._thread_count(3, 2) == 2
+    assert cli._thread_count(0, 2) == 1
+    monkeypatch.setenv("TEMPORAL_IM_THREADS", "1")
+    assert cli._thread_count(None, 4) == 1
+    assert cli._thread_count(2, 4) == 2
+
+
+def test_thread_layout(tmp_path):
+    """Job workers do not change CSV bytes, and the caller's BLAS thread
+    count survives the call."""
+    controls = _openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    cfgp = tmp_path / "q.cfg"
+    cfgp.write_text(TINY_QUENCH)
+    saved = blas_threads()
+    for _, put in controls:  # a count the CLI must not leave at 1
+        put(2)
+    try:
+        before = blas_threads()
+        for n in (1, 2):
+            out = tmp_path / f"t{n}"
+            assert cli.main(["run", str(cfgp), "--out", str(out),
+                             "--threads", str(n)]) == 0
+            assert blas_threads() == before
+            man = json.loads((out / "run_manifest.json").read_text())
+            assert man["threads"] == {"jobs": n, "blas": 1}
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+    for chi in (8, 4):
+        name = f"quench_chi{chi}.csv"
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
