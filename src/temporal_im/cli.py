@@ -253,8 +253,45 @@ def _entropy_specs(cfg: ExperimentConfig) -> List[ModelSpec]:
     return [ModelSpec(J=cfg.J, g=cfg.g, h=cfg.h, T=T) for T in cfg.T_list]
 
 
+class SolveSummary:
+    """Convergence record of the IMs behind one CSV, for the manifest.
+
+    Passed as a series function's ``im_sink``: each IM is folded in as it
+    arrives and not kept.  Solves are the ``solve_im`` results.  An impurity
+    IM extends the solve before it by one slice: it adds its trace residual
+    and its slice's discarded weight, the last entry of its record.
+    """
+
+    def __init__(self):
+        self.solves = self.converged = self.max_iterations = 0
+        self.max_final_deficit = self.max_trace_residual = 0.0
+        self._weights: List[float] = []
+
+    def append(self, im) -> None:
+        d = im.diagnostics
+        self.max_trace_residual = max(self.max_trace_residual, d["trace_residual"][-1])
+        if "impurity_drift" in d:
+            self._weights.append(d["discarded_weight"][-1])
+            return
+        self.solves += 1
+        self.converged += bool(im.converged)
+        self.max_iterations = max(self.max_iterations, im.iterations_applied)
+        self.max_final_deficit = max(self.max_final_deficit, d["deficit"][-1])
+        self._weights.extend(d["discarded_weight"])
+
+    def as_dict(self) -> Dict[str, object]:
+        return {"solves": self.solves, "converged": self.converged,
+                "max_iterations": self.max_iterations,
+                "max_final_deficit": self.max_final_deficit,
+                "max_trace_residual": self.max_trace_residual,
+                "discarded_weight": math.fsum(self._weights)}
+
+
 def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
-    """(label, callable) pairs, one per output CSV, largest chi first."""
+    """(label, callable) pairs, one per output CSV, largest chi first.
+
+    Each callable returns the series and the ``SolveSummary`` of its IMs.
+    """
     from .observables import (autocorrelator_series, entropy_series,
                               quench_magnetization_series)
 
@@ -264,39 +301,40 @@ def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
     pwb = cfg.get("preserve_weak_bonds", False)
     reuse = cfg.get("reuse_im", False)
     boundaries = cfg.get("boundary", ["open"])
-    jobs = []
     if exp == "entropy-scan":
         specs = _entropy_specs(cfg)
-        for chi in chis:
-            for b in boundaries:
-                def job(chi=chi, b=b):
-                    return entropy_series(specs, [chi], cutoff, boundary=b,
-                                          preserve_weak_bonds=pwb)
-                jobs.append(((chi, b), job))
-        return jobs
-    if exp == "quench":
-        for chi in chis:
-            for b in boundaries:
-                def job(chi=chi, b=b):
-                    return quench_magnetization_series(
-                        cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
-                        boundary=b, preserve_weak_bonds=pwb, reuse_im=reuse)
-                jobs.append(((chi, b), job))
-        return jobs
-    spec = _spec_for(cfg)
+
+        def series(chi, b, sink):
+            return entropy_series(specs, [chi], cutoff, boundary=b,
+                                  preserve_weak_bonds=pwb, im_sink=sink)
+    elif exp == "quench":
+        def series(chi, b, sink):
+            return quench_magnetization_series(
+                cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
+                boundary=b, preserve_weak_bonds=pwb, reuse_im=reuse,
+                im_sink=sink)
+    else:
+        spec = _spec_for(cfg)
+
+        def series(chi, b, sink):
+            return autocorrelator_series(spec, chi, cutoff, spec.T,
+                                         boundary=b, preserve_weak_bonds=pwb,
+                                         reuse_im=reuse, im_sink=sink)
+    jobs = []
     for chi in chis:
         for b in boundaries:
-            def job(chi=chi, b=b, spec=spec):
-                return autocorrelator_series(spec, chi, cutoff, spec.T,
-                                             boundary=b, preserve_weak_bonds=pwb,
-                                             reuse_im=reuse)
+            def job(chi=chi, b=b):
+                sink = SolveSummary()
+                return series(chi, b, sink), sink.as_dict()
             jobs.append(((chi, b), job))
     return jobs
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
-                   threads: Optional[int] = None) -> Tuple[List[str], int]:
-    """Write the config's CSVs; returns their paths and the job workers used.
+                   threads: Optional[int] = None
+                   ) -> Tuple[List[str], int, Dict[str, dict]]:
+    """Write the config's CSVs; returns their paths, the job workers used and
+    the ``SolveSummary`` of each CSV by file name.
 
     ``threads`` caps the workers (see ``_thread_count``); with one worker
     the jobs run serially on the calling thread.
@@ -305,13 +343,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
         rc = oracle_check(cfg.get("tmax", 4))
         if rc != 0:
             raise NumericalInstabilityError("oracle cross-checks failed")
-        return [], 1
+        return [], 1, {}
     jobs = _series_jobs(cfg, seed)
     workers = _thread_count(threads, len(jobs))
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
     if cfg.experiment == "entropy-scan" and "eps_list" in cfg.raw:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
+    summaries: Dict[str, dict] = {}
     results: Dict[tuple, object] = {}
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -323,22 +362,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
             results[key] = fn()
     for key, _ in jobs:  # keep emission order deterministic: largest chi first
         chi, boundary = key
-        series = results[key]
+        series, summary = results[key]
         suffix = f"_chi{chi}" + ("" if boundary == "open" else f"_{boundary}")
         path = os.path.join(out_dir, f"{cfg.experiment}{suffix}.csv")
         write_series_csv(path, series, chi, eps, boundary, seed)
         written.append(path)
-    return written, workers
+        summaries[os.path.basename(path)] = summary
+    return written, workers, summaries
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, seed: Optional[int],
                    wall: float, files: Sequence[str],
-                   threads: Dict[str, Optional[int]]) -> str:
-    """``threads`` is the layout, ``{"jobs": workers, "blas": 1 or None}``."""
+                   threads: Dict[str, Optional[int]],
+                   solves: Dict[str, dict]) -> str:
+    """``threads`` is the layout, ``{"jobs": workers, "blas": 1 or None}``;
+    ``solves`` maps each CSV's file name to its solve summary."""
     path = os.path.join(out_dir, "run_manifest.json")
     doc = {"config": cfg.raw, "engine_version": __version__,
            "experiment": cfg.experiment, "files": [os.path.basename(f) for f in files],
-           "seed": seed, "threads": threads, "wall_time_s": wall}
+           "seed": seed, "solves": solves, "threads": threads,
+           "wall_time_s": wall}
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
     with os.fdopen(fd, "w") as f:
@@ -466,9 +509,9 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
         if cfg.experiment == "dtc" and seed is None:
             raise ConfigError("dtc runs require a seed")
         t0 = time.monotonic()
-        files, workers = run_experiment(cfg, out_dir, seed, threads)
+        files, workers, solves = run_experiment(cfg, out_dir, seed, threads)
         write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,
-                       {"jobs": workers, "blas": blas})
+                       {"jobs": workers, "blas": blas}, solves)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

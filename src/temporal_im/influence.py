@@ -19,14 +19,15 @@ import io
 import json
 import struct
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Dict, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Union
 
 import numpy as np
 
 from .models import Impurity, ModelSpec, floquet_kernel, folded_kick_links
-from .mps import (TemporalMps, TemporalMpo, apply_mpo_zipup, canonicalize,
-                  entropy_profile, load_mps, mps_norm, overlap, product_mps,
+from .mps import (TemporalMps, TemporalMpo, ZipupResult, apply_mpo_zipup,
+                  canonicalize, load_mps, mps_norm, overlap, product_mps,
                   save_mps)
+from .mps import entropy_profile  # noqa: F401  unused here; imbench/tracing.py wraps it
 from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
 
 BOUNDARY_KINDS = ("open", "perfect_dephaser")
@@ -174,10 +175,13 @@ class DisorderSliceMpo:
         return max(t.shape[0] for t in self.constraint.tensors)
 
     def apply(self, psi: TemporalMps, chi_max: int,
-              cutoff: float = 0.0) -> Tuple[TemporalMps, float]:
+              cutoff: float = 0.0) -> ZipupResult:
+        """Both zip-ups; the entropies are the constraint zip-up's, those of
+        the returned state, and the discarded weights add up."""
         r1 = apply_mpo_zipup(self.weights, psi, chi_max, cutoff)
         r2 = apply_mpo_zipup(self.constraint, r1.psi, chi_max, cutoff)
-        return r2.psi, r1.discarded_weight + r2.discarded_weight
+        return ZipupResult(r2.psi, r1.discarded_weight + r2.discarded_weight,
+                           r2.entropies)
 
     def dense(self) -> np.ndarray:
         return self.constraint.dense() @ self.weights.dense()
@@ -209,8 +213,23 @@ class InfluenceMatrix:
 
 
 def _log_norm(psi: TemporalMps) -> float:
-    """log ||psi||, overflow-safe (canonical center carries the norm)."""
-    return canonicalize(psi, 0).norm_log
+    """log ||psi||, overflow-safe.
+
+    A canonical state carries its norm in the centre tensor; only a state
+    without a centre (the product boundary) is canonicalized first.
+    """
+    if psi.canonical_center is None:
+        return canonicalize(psi, 0).norm_log
+    nrm = _bare_norm(psi)
+    return psi.norm_log + float(np.log(nrm)) if nrm > 0.0 else psi.norm_log
+
+
+def _bare_norm(psi: TemporalMps) -> float:
+    """||psi|| without the norm_log factor: the centre tensor's norm, or one
+    environment sweep when there is no centre."""
+    if psi.canonical_center is None:
+        return mps_norm(TemporalMps(psi.tensors))
+    return float(np.linalg.norm(psi.tensors[psi.canonical_center]))
 
 
 def _overlap_deficit(a: TemporalMps, b: TemporalMps) -> float:
@@ -218,19 +237,20 @@ def _overlap_deficit(a: TemporalMps, b: TemporalMps) -> float:
     a0 = TemporalMps(a.tensors, 0.0, a.canonical_center)
     b0 = TemporalMps(b.tensors, 0.0, b.canonical_center)
     ov = abs(overlap(a0, b0))
-    na, nb = mps_norm(a0), mps_norm(b0)
+    na, nb = _bare_norm(a), _bare_norm(b)
     if na == 0.0 or nb == 0.0:
         return 1.0
     return 1.0 - ov / (na * nb)
 
 
-def _record_entropies(diag: Dict[str, list], psi: TemporalMps) -> None:
-    prof = entropy_profile(psi) if psi.T > 1 else []
-    diag["entropy_profile"].append(prof)
-    diag["entropy_max"].append(max(prof) if prof else 0.0)
+def _record_entropies(diag: Dict[str, list], psi: TemporalMps,
+                      prof: List[float]) -> None:
+    """Entropy diagnostics of ``psi`` from its zip-up's bond entropies."""
     half = prof[psi.T // 2 - 1] if len(prof) >= max(psi.T // 2, 1) and psi.T > 1 else 0.0
-    diag["entropy_halfcut"].append(half)
-    diag["max_bond"].append(psi.max_bond())
+    for key, val in (("entropy_profile", prof),
+                     ("entropy_max", max(prof) if prof else 0.0),
+                     ("entropy_halfcut", half), ("max_bond", psi.max_bond())):
+        diag.setdefault(key, []).append(val)
 
 
 def _normalize_trace(im: InfluenceMatrix) -> None:
@@ -275,9 +295,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     if spec.disorder is None:
         op = build_transfer_slice(spec, side=side)
 
-        def step(p):
-            r = apply_mpo_zipup(op, p, chi_max, cutoff)
-            return r.psi, r.discarded_weight
+        step = lambda p: apply_mpo_zipup(op, p, chi_max, cutoff)
     else:
         dis = build_disorder_slice(spec)
         step = lambda p: dis.apply(p, chi_max, cutoff)
@@ -291,14 +309,15 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     converged = False
     iters = 0
     for it in range(1, max_iters + 1):
-        new, dw = step(psi)
+        r = step(psi)
+        new = r.psi
         log_norm = _log_norm(new)
         drift = abs(log_norm - prev_log)
         deficit = _overlap_deficit(new, psi)
         diag["deficit"].append(deficit)
         diag["drift"].append(drift)
-        diag["discarded_weight"].append(dw)
-        _record_entropies(diag, new)
+        diag["discarded_weight"].append(r.discarded_weight)
+        _record_entropies(diag, new, r.entropies)
         psi, prev_log, iters = new, log_norm, it
         if it >= T and drift > drift_limit:
             raise NumericalInstabilityError(
@@ -321,7 +340,9 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     The extra slice is homogeneous except for its subsystem-facing bond
     coupling beta * J_eff, so the result depends on beta only.  beta = 0
     decouples the environment (flat IM), beta = 1 reproduces the
-    homogeneous IM at the exact fixed point.
+    homogeneous IM at the exact fixed point.  The diagnostics hold the
+    entropies and bond size of the new IM, and the discarded weight of the
+    base solve's iterations followed by the slice's.
     """
     if spec.impurity is None:
         raise ValueError("spec has no impurity")
@@ -331,8 +352,10 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     r = apply_mpo_zipup(op, base.psi, chi_max, cutoff)
     diag: Dict[str, list] = {
         "impurity_drift": [abs(_log_norm(r.psi) - before)],
-        "discarded_weight": [r.discarded_weight],
+        "discarded_weight": list(base.diagnostics.get("discarded_weight", []))
+                            + [r.discarded_weight],
     }
+    _record_entropies(diag, r.psi, r.entropies)
     im = InfluenceMatrix(psi=r.psi, spec=spec, boundary=base.boundary,
                          chi_max=chi_max, cutoff=cutoff,
                          iterations_applied=base.iterations_applied + 1,

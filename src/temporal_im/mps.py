@@ -208,6 +208,7 @@ def entropy_profile(psi: TemporalMps) -> List[float]:
 class ZipupResult:
     psi: TemporalMps
     discarded_weight: float  # summed relative dropped fraction over all SVD events
+    entropies: List[float]   # von Neumann entropy of bonds 1..T-1
 
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float):
@@ -225,6 +226,17 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     (peak intermediate bond stays <= chi * mpo bond), then one right-to-left
     compression sweep.  Total discarded weight is the accumulated relative
     dropped fraction over all truncation events.
+
+    The result is canonical about site 0 and ``entropies`` holds the von
+    Neumann entropy of every bond, taken from the kept singular values of
+    the right-to-left sweep: no extra SVD, no extra pass.  When bond i is cut
+    everything left of it is still the first sweep's left isometries and
+    everything right of it is already right-isometric, so those values are
+    Schmidt values.  The first sweep leaves every bond at most chi_max wide,
+    so the second sweep never meets the cap and drops only values below
+    ``cutoff`` * s_0.  The reported spectra are therefore the ones after that
+    bond's truncation, those of the returned state, up to the cutoff-level
+    truncations the sweep makes further left afterwards.
     """
     if op.T != psi.T:
         raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
@@ -253,10 +265,12 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
             s = s / sn
         zipper = (s[:, None] * vh).reshape(-1, wr, ar)
     # right-to-left compression sweep
+    entropies = [0.0] * (T - 1)
     for i in range(T - 1, 0, -1):
         chi_l, _, chi_r = out[i].shape
         u, s, vh, frac = _truncate_event(out[i].reshape(chi_l, 4 * chi_r), chi_max, cutoff)
         discarded += frac
+        entropies[i - 1] = BondSpectrum.from_singular_values(i, s).entropy
         out[i] = vh.reshape(-1, 4, chi_r)
         sn = float(np.linalg.norm(s))
         if sn > 0:
@@ -264,7 +278,7 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
             s = s / sn
         out[i - 1] = np.tensordot(out[i - 1], u * s[None, :], axes=(2, 0))
     return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),
-                       discarded)
+                       discarded, entropies)
 
 
 # ---------------------------------------------------------------------------

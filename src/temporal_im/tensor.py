@@ -1,5 +1,5 @@
-"""Dense complex tensor primitives: contraction, truncated SVD, and the BLAS
-thread pin the command line runs them under.
+"""Dense complex tensor primitives: truncated SVD, the folded-index tables,
+and the BLAS thread pin the command line runs them under.
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -38,26 +38,6 @@ _OPENBLAS_SYMBOLS = (
 
 class DimensionError(ValueError):
     """Raised when tensor extents do not line up."""
-
-
-def contract(a: np.ndarray, b: np.ndarray, axes: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Contract paired axes of two dense tensors.
-
-    ``axes`` is a list of (axis_of_a, axis_of_b) pairs.  The result carries
-    the uncontracted axes of ``a`` followed by those of ``b``, row-major.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    pairs = list(axes)
-    if not pairs:
-        return np.tensordot(a, b, axes=0)
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    for i, j in zip(ax_a, ax_b):
-        if a.shape[i] != b.shape[j]:
-            raise DimensionError(
-                f"paired axes disagree: a.shape[{i}]={a.shape[i]} vs b.shape[{j}]={b.shape[j]}")
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
 class SvdFactors(NamedTuple):

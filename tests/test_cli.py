@@ -164,6 +164,79 @@ def test_chi_sweep_order_largest_first(tmp_path):
     assert man["files"][0] == "quench_chi8.csv"
 
 
+STALLED_FLOQUET = """
+experiment = floquet-czz
+J = 0.8
+g = 0.7236
+h = 0.6472
+T_max = 8
+chi = 4
+cutoff = 1e-12
+reuse_im = true
+"""
+
+CONVERGED_FLOQUET = """
+experiment = floquet-czz
+J = 0.31
+g = 0.57
+h = 0.23
+T_max = 3
+chi = 64
+cutoff = 0
+"""
+
+TINY_IMPURITY = """
+experiment = hamiltonian-impurity
+J = 1.0
+g = 1.4142135623730951
+h = 0.681
+eps = 0.1
+t_max = 0.6
+alpha = 0.5
+beta = 0.8
+chi = 4
+cutoff = 0
+"""
+
+
+def _run_summary(tmp_path, name, text):
+    cfgp = tmp_path / f"{name}.cfg"
+    cfgp.write_text(text)
+    out = tmp_path / name
+    assert cli.main(["run", str(cfgp), "--out", str(out)]) == 0
+    man = json.loads((out / "run_manifest.json").read_text())
+    (csv_name,) = man["files"]
+    assert set(man["solves"]) == {csv_name}
+    rows = [r.split(",") for r in (out / csv_name).read_text().splitlines()[1:]]
+    return man["solves"][csv_name], rows
+
+
+def test_manifest_solve_summary(tmp_path):
+    """The manifest says which IMs missed their stopping rule."""
+    stalled, rows = _run_summary(tmp_path, "stalled", STALLED_FLOQUET)
+    assert stalled["solves"] == 1 and stalled["converged"] == 0
+    assert stalled["max_iterations"] == 8 + 2
+    assert stalled["max_final_deficit"] > 1e-10
+    assert stalled["max_trace_residual"] > 1e-3
+    # one reused IM: every row reports its whole discarded weight
+    assert stalled["discarded_weight"] == float(rows[1][5]) > 0.0
+
+    conv, _ = _run_summary(tmp_path, "converged", CONVERGED_FLOQUET)
+    assert conv["solves"] == conv["converged"] == 3  # fresh solve per T
+    assert 1 <= conv["max_iterations"] <= 3 + 1
+    assert conv["max_final_deficit"] < 1e-10
+    assert conv["max_trace_residual"] < 1e-10
+    assert conv["discarded_weight"] == 0.0
+
+    # impurity: base solves plus one slice each; no weight counted twice
+    imp, rows = _run_summary(tmp_path, "impurity", TINY_IMPURITY)
+    assert imp["solves"] == 6
+    total = sum(float(r[5]) for r in rows[1:])
+    assert imp["discarded_weight"] > 0.0
+    assert np.isclose(imp["discarded_weight"], total, rtol=1e-12)
+    assert all(float(r[3]) > 0.0 for r in rows[2:])  # half-cut entropy, T >= 2
+
+
 def test_bundled_configs_parse():
     here = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
     for name in ("fig2.cfg", "fig3.cfg", "fig4.cfg", "fig5.cfg"):

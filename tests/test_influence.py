@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from temporal_im.models import Impurity, ModelSpec
-from temporal_im.influence import (BOUNDARY_KINDS, boundary_mps,
-                                   build_disorder_slice, build_transfer_slice,
-                                   checkpoint_bytes, impurity_im,
-                                   load_checkpoint, save_checkpoint, solve_im)
+from temporal_im.influence import (BOUNDARY_KINDS, _log_norm, _overlap_deficit,
+                                   boundary_mps, build_disorder_slice,
+                                   build_transfer_slice, checkpoint_bytes,
+                                   impurity_im, load_checkpoint,
+                                   save_checkpoint, solve_im)
+from temporal_im.mps import (TemporalMps, apply_mpo_zipup, canonicalize,
+                             entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
 
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
@@ -92,6 +95,59 @@ def test_solve_records_iteration_diagnostics():
     assert len(im.diagnostics["trace_residual"]) == 1
 
 
+def test_solve_entropies_are_those_of_each_iterate():
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=8)
+    im = solve_im(spec, chi_max=6, cutoff=1e-12, tol=0.0, max_iters=3)
+    prof = im.diagnostics["entropy_profile"][-1]
+    assert np.max(np.abs(np.asarray(prof) - entropy_profile(im.psi))) < 1e-12
+    assert im.diagnostics["entropy_halfcut"][-1] == prof[3]
+    assert im.diagnostics["entropy_max"][-1] == max(prof) > 0.1
+
+
+def _states(T=8):
+    """Product boundary, two zip-up iterates, and canonical states whose
+    centre tensor (at 0 and in the middle) is not unit-norm."""
+    op = build_transfer_slice(ModelSpec(J=0.8, g=0.7236, h=0.6472, T=T))
+    b = boundary_mps("open", T)
+    z1 = apply_mpo_zipup(op, b, chi_max=8, cutoff=1e-12).psi
+    z2 = apply_mpo_zipup(op, z1, chi_max=8, cutoff=1e-12).psi
+    z3 = z2.copy()
+    z3.tensors[0] = 2.5 * z3.tensors[0]
+    mid = canonicalize(z2, 3)
+    mid.tensors[3] = 0.4j * mid.tensors[3]
+    return b, z1, z2, z3, mid
+
+
+def test_fast_log_norm_matches_canonicalize():
+    for psi in _states():
+        assert abs(_log_norm(psi) - canonicalize(psi, 0).norm_log) < 1e-13
+
+
+def test_one_overlap_deficit_matches_three_overlaps():
+    def three_overlaps(a, b):
+        a0 = TemporalMps(a.tensors)
+        b0 = TemporalMps(b.tensors)
+        return 1.0 - abs(overlap(a0, b0)) / (mps_norm(a0) * mps_norm(b0))
+
+    b, z1, z2, z3, mid = _states()
+    pairs = [(z1, b), (z2, z1), (z3, z2), (mid, z1), (z3, mid)]
+    for x, y in pairs:
+        assert abs(_overlap_deficit(x, y) - three_overlaps(x, y)) < 1e-13
+    assert _overlap_deficit(z1, b) > 1e-3
+
+
+def test_disorder_apply_entropies_are_the_constraint_zipups():
+    spec = ModelSpec(J=1.0, g=math.pi / 2 - 0.13, h=0.3, T=6,
+                     disorder="uniform_J_0_2pi")
+    sl = build_disorder_slice(spec)
+    psi = boundary_mps("open", spec.T)
+    for chi in (64, 4):
+        r = sl.apply(sl.apply(psi, chi, 1e-12).psi, chi, 1e-12)
+        want = entropy_profile(r.psi)
+        assert max(want) > 0.1
+        assert np.max(np.abs(np.asarray(r.entropies) - want)) < 1e-12
+
+
 def test_preserve_weak_bonds_overrides_cutoff():
     spec = ModelSpec(J=0.0, g=0.9, h=0.3, T=4)  # J=0: decoupled, weak bonds exact
     im = solve_im(spec, chi_max=64, cutoff=1e-8, preserve_weak_bonds=True)
@@ -116,6 +172,22 @@ def test_impurity_im_beta_one_is_noop_slice():
     # beta = 1 slice equals the bulk slice, and base is its fixed point
     assert np.max(np.abs(imp.psi.dense() - base.psi.dense())) < 1e-9
     assert imp.iterations_applied == base.iterations_applied + 1
+
+
+def test_impurity_im_records_entropies_and_all_weights():
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=8,
+                     impurity=Impurity(alpha=0.5, beta=0.8))
+    base = solve_im(spec, chi_max=6, cutoff=0.0)
+    imp = impurity_im(spec, base, chi_max=6, cutoff=0.0)
+    d = imp.diagnostics
+    prof = entropy_profile(imp.psi)
+    assert np.max(np.abs(np.asarray(d["entropy_profile"][-1]) - prof)) < 1e-12
+    assert d["entropy_halfcut"][-1] == d["entropy_profile"][-1][3] > 0.1
+    assert d["entropy_max"][-1] == max(d["entropy_profile"][-1])
+    assert d["max_bond"][-1] == imp.psi.max_bond()
+    # the base solve's weights, then the slice's own
+    assert d["discarded_weight"][:-1] == base.diagnostics["discarded_weight"]
+    assert d["discarded_weight"][-1] > 0.0
 
 
 def test_disorder_slice_mpo_matches_dense_average():

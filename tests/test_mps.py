@@ -112,6 +112,24 @@ def test_zipup_matches_dense_application():
     assert np.allclose(res.psi.dense(), want, atol=1e-9 * np.linalg.norm(want))
 
 
+@pytest.mark.parametrize("chi_max, cutoff", [(5, 0.0), (10 ** 6, 1e-12)])
+def test_zipup_entropies_match_entropy_profile(chi_max, cutoff):
+    # capped: the left-to-right sweep truncates to chi_max at every bond;
+    # uncapped: only the relative cutoff acts
+    psi = random_mps(6, 4)
+    res = apply_mpo_zipup(random_mpo(6, 3), psi, chi_max=chi_max, cutoff=cutoff)
+    want = entropy_profile(res.psi)
+    assert (res.psi.max_bond() == 5) == (chi_max == 5)
+    assert len(res.entropies) == 5
+    assert max(want) > 0.5
+    assert np.max(np.abs(np.asarray(res.entropies) - want)) < 1e-12
+
+
+def test_zipup_single_site_has_no_bonds():
+    res = apply_mpo_zipup(identity_mpo(1), random_mps(1, 1), chi_max=4)
+    assert res.entropies == []
+
+
 def test_zipup_truncation_reports_weight():
     psi = random_mps(5, 8)
     op = random_mpo(5, 4)

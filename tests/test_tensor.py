@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
-                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, contract,
-                                svd_truncate)
+                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, svd_truncate)
 
 rng = np.random.default_rng(7)
 
@@ -21,30 +20,16 @@ def test_folded_tables_consistent():
     assert sorted(zip(FOLDED_FWD, FOLDED_BWD)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def test_contract_matches_einsum():
-    a = crand(3, 4, 5)
-    b = crand(4, 6, 3)
-    got = contract(a, b, [(1, 0), (0, 2)])
-    want = np.einsum("abc,bda->cd", a, b)
-    assert np.allclose(got, want, atol=1e-14)
-
-
-def test_contract_no_axes_is_outer():
-    a = crand(2, 3)
-    b = crand(4)
-    assert contract(a, b, []).shape == (2, 3, 4)
-
-
-def test_contract_rejects_mismatched_axes():
-    with pytest.raises(DimensionError):
-        contract(crand(3, 3), crand(4, 4), [(0, 0)])
-
-
 def test_svd_truncate_exact_when_unconstrained():
     m = crand(6, 9)
     f = svd_truncate(m, chi_max=6)
     assert np.allclose(f.u * f.s @ f.vh, m, atol=1e-12)
     assert f.discarded_weight == 0.0
+
+
+def test_svd_truncate_rejects_non_matrix():
+    with pytest.raises(DimensionError):
+        svd_truncate(crand(2, 3, 4), chi_max=4)
 
 
 def test_svd_truncate_chi_cap():
