@@ -21,8 +21,7 @@ def main():
     args = ap.parse_args()
 
     specs = [trotterize(args.J, args.g, args.h, args.t, e) for e in args.eps]
-    ser = entropy_series(specs, args.chi, cutoff=0.0,
-                         preserve_weak_bonds=True, abscissa=args.eps)
+    ser = entropy_series(specs, args.chi, cutoff=0.0, abscissa=args.eps)
     prev = None
     for e, s, conv in zip(ser.abscissa, ser.values.real,
                           ser.extras["chi_converged"]):

@@ -1,6 +1,7 @@
 """Influence matrices for kicked spin-1/2 chains, represented as MPS over
-the time direction.  Local observables follow from contracting a pair of
-converged influence matrices through a single-site kernel."""
+the time direction.  Local observables follow from contracting one
+converged influence matrix, which faces the probed site from both sides,
+through a single-site kernel."""
 
 __version__ = "0.1.0"
 

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +60,7 @@ _KEYS = {
     "chi": "int_list", "eps_list": "float_list", "T_list": "int_list",
     "cutoff": float, "boundary": "str_list",
     "preserve_weak_bonds": "bool", "reuse_im": "bool",
-    "seed": int, "samples": int, "tmax": int, "out": str,
+    "seed": int, "tmax": int, "out": str,
 }
 
 _REQUIRED = {
@@ -298,28 +298,27 @@ def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
     exp = cfg.experiment
     chis = sorted(cfg.chi, reverse=True)
     cutoff = cfg.get("cutoff", 0.0)
-    pwb = cfg.get("preserve_weak_bonds", False)
+    if cfg.get("preserve_weak_bonds", False):
+        cutoff = 0.0  # keep every Schmidt value up to chi
     reuse = cfg.get("reuse_im", False)
     boundaries = cfg.get("boundary", ["open"])
     if exp == "entropy-scan":
         specs = _entropy_specs(cfg)
 
         def series(chi, b, sink):
-            return entropy_series(specs, [chi], cutoff, boundary=b,
-                                  preserve_weak_bonds=pwb, im_sink=sink)
+            return entropy_series(specs, [chi], cutoff, boundary=b, im_sink=sink)
     elif exp == "quench":
         def series(chi, b, sink):
             return quench_magnetization_series(
                 cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
-                boundary=b, preserve_weak_bonds=pwb, reuse_im=reuse,
-                im_sink=sink)
+                boundary=b, reuse_im=reuse, im_sink=sink)
     else:
         spec = _spec_for(cfg)
 
         def series(chi, b, sink):
             return autocorrelator_series(spec, chi, cutoff, spec.T,
-                                         boundary=b, preserve_weak_bonds=pwb,
-                                         reuse_im=reuse, im_sink=sink)
+                                         boundary=b, reuse_im=reuse,
+                                         im_sink=sink)
     jobs = []
     for chi in chis:
         for b in boundaries:
@@ -402,8 +401,7 @@ def _check(name: str, got: float, tol: float, report: list) -> None:
 def oracle_check(tmax: int = 4) -> int:
     """Dense-vs-MPS cross-check battery; 0 when everything agrees."""
     from .influence import build_disorder_slice, build_transfer_slice, solve_im
-    from .observables import (InsertionPlan, Insertion, czz_plan,
-                              autocorrelator_series, temporal_contract)
+    from .observables import autocorrelator_series, temporal_contract
     from .models import floquet_kernel
     from . import oracles
 
@@ -422,7 +420,7 @@ def oracle_check(tmax: int = 4) -> int:
         _check(f"fixed point[{tag}] dense vs solve",
                float(np.max(np.abs(ref.amplitudes - got))), 1e-10, report)
         kern = floquet_kernel(s)
-        one = temporal_contract(im, im.mirrored(), kern)
+        one = temporal_contract(im, kern)
         _check(f"trace[{tag}] empty plan", abs(one - 1.0), 1e-10, report)
         ed = oracles.ed_chain_evolve(s, 2 * s.T + 1)
         ser = autocorrelator_series(s, chi_max=4 ** s.T)
@@ -475,17 +473,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="temporal-im",
                                      description="influence-matrix engine")
     sub = parser.add_subparsers(dest="command", required=True)
-    p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", default=".")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="jobs run at once (default: TEMPORAL_IM_THREADS, "
-                            "else the usable cores; at most the jobs)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("config")
+    common.add_argument("--out", default=None,
+                        help="output directory (default: the config's out, else .)")
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--threads", type=int, default=None,
+                        help="jobs run at once (default: TEMPORAL_IM_THREADS, "
+                             "else the usable cores; at most the jobs)")
+    sub.add_parser("run", parents=[common], help="run an experiment config")
     p_orc = sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     p_orc.add_argument("--tmax", type=int, default=4)
-    p_ent = sub.add_parser("entropy", help="entropy scan from a config")
-    p_ent.add_argument("config")
+    sub.add_parser("entropy", parents=[common],
+                   help="run, for entropy-scan configs only")
     args = parser.parse_args(argv)
     with one_blas_thread() as blas:
         return _dispatch(args, blas)
@@ -498,18 +498,14 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
                 raise ConfigError("--tmax must be >= 1")
             return EXIT_UNSTABLE if oracle_check(args.tmax) else 0
         cfg = load_config(args.config)
-        if args.command == "entropy":
-            if cfg.experiment != "entropy-scan":
-                raise ConfigError("entropy subcommand needs experiment = entropy-scan")
-            out_dir, seed, threads = cfg.get("out", "."), cfg.get("seed"), None
-        else:
-            out_dir = args.out
-            seed = args.seed if args.seed is not None else cfg.get("seed")
-            threads = args.threads
+        if args.command == "entropy" and cfg.experiment != "entropy-scan":
+            raise ConfigError("entropy subcommand needs experiment = entropy-scan")
+        out_dir = args.out if args.out is not None else cfg.get("out", ".")
+        seed = args.seed if args.seed is not None else cfg.get("seed")
         if cfg.experiment == "dtc" and seed is None:
             raise ConfigError("dtc runs require a seed")
         t0 = time.monotonic()
-        files, workers, solves = run_experiment(cfg, out_dir, seed, threads)
+        files, workers, solves = run_experiment(cfg, out_dir, seed, args.threads)
         write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,
                        {"jobs": workers, "blas": blas}, solves)
         return 0

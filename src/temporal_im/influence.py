@@ -11,14 +11,15 @@ faces and includes the interaction phases on the bond linking that site to
 the environment.  One slice therefore absorbs one environment spin together
 with its subsystem-facing bond; an impurity bond scaling enters through
 exactly one extra slice.  With a single diagonal layer per period the left
-and right slices contain the same tensors, so ``side`` is bookkeeping.
+and right slices contain the same tensors, so one IM serves both sides of
+the probed site.
 """
 from __future__ import annotations
 
 import io
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import BinaryIO, Dict, List, Optional, Union
 
 import numpy as np
@@ -33,7 +34,8 @@ from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
 BOUNDARY_KINDS = ("open", "perfect_dephaser")
 
 _CKPT_MAGIC = b"TIMC"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_READABLE = (1, 2)  # v1 headers also carry a "side" label, ignored
 
 _TRACE_MASK = (FOLDED_FWD == FOLDED_BWD).astype(complex)  # [1,0,0,1]
 
@@ -60,8 +62,8 @@ def bond_phase_matrix(bond_coupling: float) -> np.ndarray:
                      - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR)))
 
 
-def build_transfer_slice(spec: ModelSpec, bond_coupling: Optional[float] = None,
-                         side: str = "left") -> TemporalMpo:
+def build_transfer_slice(spec: ModelSpec,
+                         bond_coupling: Optional[float] = None) -> TemporalMpo:
     """One dual-transfer-matrix slice as an MPO of bond dimension 4.
 
     Maps an IM over the absorbed spin's trajectory y = (s, sbar) to an IM
@@ -72,8 +74,6 @@ def build_transfer_slice(spec: ModelSpec, bond_coupling: Optional[float] = None,
     with the trace constraint.  Both sides use identical tensors here: a
     single diagonal layer per period makes the slice reflection symmetric.
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"unknown side {side!r}")
     T = spec.T
     kern = floquet_kernel(spec)
     Jb = spec.J_eff if bond_coupling is None else bond_coupling
@@ -199,17 +199,11 @@ class InfluenceMatrix:
     iterations_applied: int
     converged: bool
     eigenvalue_drift: float          # |log| norm change of the last iteration
-    side: str = "left"
     diagnostics: Dict[str, list] = field(default_factory=dict)
 
     @property
     def T(self) -> int:
         return self.psi.T
-
-    def mirrored(self) -> "InfluenceMatrix":
-        """The same IM relabelled as the other side of the subsystem."""
-        other = "right" if self.side == "left" else "left"
-        return replace(self, psi=self.psi.copy(), side=other)
 
 
 def _log_norm(psi: TemporalMps) -> float:
@@ -263,7 +257,7 @@ def _normalize_trace(im: InfluenceMatrix) -> None:
     from .observables import temporal_contract
 
     kern = floquet_kernel(im.spec)
-    c = temporal_contract(im, im, kern)
+    c = temporal_contract(im, kern)
     if not np.isfinite(c) or abs(c) < 1e-12:
         raise NumericalInstabilityError(f"degenerate IM trace {c!r}")
     im.diagnostics.setdefault("trace_residual", []).append(abs(c - 1.0))
@@ -274,8 +268,7 @@ def _normalize_trace(im: InfluenceMatrix) -> None:
 
 def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
              cutoff: float = 0.0, max_iters: Optional[int] = None,
-             tol: float = 1e-10, preserve_weak_bonds: bool = False,
-             drift_limit: float = 1.0, side: str = "left") -> InfluenceMatrix:
+             tol: float = 1e-10, drift_limit: float = 1.0) -> InfluenceMatrix:
     """Power-iterate the dual slice from a product boundary to the IM.
 
     Per-iteration diagnostics (overlap deficit, norm drift, bond entropy
@@ -283,18 +276,14 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     are collected on the returned object.  The light cone guarantees
     convergence after at most T iterations; drift above ``drift_limit``
     past that horizon means truncation has destabilized the iteration and
-    raises.  ``preserve_weak_bonds`` disables the relative cutoff so
-    exactly chi_max values are kept per bond (small Schmidt values matter
-    near the continuous-time limit).
+    raises.  ``cutoff=0`` keeps every nonzero Schmidt value up to chi_max
+    per bond (small ones matter near the continuous-time limit).
     """
     T = spec.T
-    if preserve_weak_bonds:
-        cutoff = 0.0
     if max_iters is None:
         max_iters = T + 2
     if spec.disorder is None:
-        op = build_transfer_slice(spec, side=side)
-
+        op = build_transfer_slice(spec)
         step = lambda p: apply_mpo_zipup(op, p, chi_max, cutoff)
     else:
         dis = build_disorder_slice(spec)
@@ -327,7 +316,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
             break
     im = InfluenceMatrix(psi=psi, spec=spec, boundary=boundary, chi_max=chi_max,
                          cutoff=cutoff, iterations_applied=iters,
-                         converged=converged, eigenvalue_drift=drift, side=side,
+                         converged=converged, eigenvalue_drift=drift,
                          diagnostics=diag)
     _normalize_trace(im)
     return im
@@ -346,8 +335,7 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     """
     if spec.impurity is None:
         raise ValueError("spec has no impurity")
-    op = build_transfer_slice(spec, bond_coupling=spec.impurity.beta * spec.J_eff,
-                              side=base.side)
+    op = build_transfer_slice(spec, bond_coupling=spec.impurity.beta * spec.J_eff)
     before = _log_norm(base.psi)
     r = apply_mpo_zipup(op, base.psi, chi_max, cutoff)
     diag: Dict[str, list] = {
@@ -361,7 +349,7 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
                          iterations_applied=base.iterations_applied + 1,
                          converged=base.converged,
                          eigenvalue_drift=base.eigenvalue_drift,
-                         side=base.side, diagnostics=diag)
+                         diagnostics=diag)
     _normalize_trace(im)
     return im
 
@@ -397,7 +385,7 @@ def save_checkpoint(im: InfluenceMatrix, dest: Union[str, BinaryIO]) -> None:
     header = {"boundary": im.boundary, "chi_max": im.chi_max,
               "converged": im.converged, "cutoff": im.cutoff,
               "eigenvalue_drift": im.eigenvalue_drift,
-              "iterations": im.iterations_applied, "side": im.side,
+              "iterations": im.iterations_applied,
               "spec": _spec_header(im.spec), "version": _CKPT_VERSION}
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     dest.write(_CKPT_MAGIC)
@@ -415,7 +403,7 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     (n,) = struct.unpack("<I", src.read(4))
     header = json.loads(src.read(n).decode())
-    if header["version"] != _CKPT_VERSION:
+    if header["version"] not in _CKPT_READABLE:
         raise ValueError(f"unsupported checkpoint version {header['version']}")
     psi = load_mps(src)
     return InfluenceMatrix(psi=psi, spec=_spec_from_header(header["spec"]),
@@ -423,8 +411,7 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
                            cutoff=header["cutoff"],
                            iterations_applied=header["iterations"],
                            converged=header["converged"],
-                           eigenvalue_drift=header["eigenvalue_drift"],
-                           side=header["side"])
+                           eigenvalue_drift=header["eigenvalue_drift"])
 
 
 def checkpoint_bytes(im: InfluenceMatrix) -> bytes:

@@ -1,16 +1,18 @@
 """Local observables from influence-matrix contractions.
 
-The probed site's folded trajectory is summed against the two neighbouring
-IMs and the site's own per-period factors.  Operator insertions are
-specified by an InsertionPlan: time 0 acts right after the initial state,
-time 0 < tau < T between periods (for the symmetric splitting: between the
-two half kicks), time T right before the trace.
+The probed site's folded trajectory is summed against the IM, which faces
+it from both sides (the chain is reflection symmetric), and the site's own
+per-period factors.  Operator insertions are specified by an
+InsertionPlan: time 0 acts right after the initial state, time 0 < tau < T
+between periods (for the symmetric splitting: between the two half kicks),
+time T right before the trace.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -155,19 +157,28 @@ def kernel_factors(kern: LocalKernel, T: int, plan: Optional[InsertionPlan] = No
     return w0, dh, links, F
 
 
-def _psi_of(im) -> TemporalMps:
-    return im.psi if hasattr(im, "psi") else im
-
-
 def _env_step(E: np.ndarray, link: np.ndarray, dh: np.ndarray,
-              AL: np.ndarray, AR: np.ndarray) -> np.ndarray:
-    """Advance the (left bond, right bond, open folded index) environment.
+              A: np.ndarray) -> np.ndarray:
+    """Advance the (left bond, right bond, open folded index) environment
+    by one site of the IM, which sits on both sides of the probed site.
 
     Batched matmuls over the folded index keep this on BLAS.
     """
+    At = A.transpose(1, 0, 2)
     tmp = np.tensordot(E, link.T * dh[None, :], axes=(2, 0))     # (a, b, p)
-    t2 = tmp.transpose(2, 1, 0) @ AL.transpose(1, 0, 2)          # (p, b, l)
-    return (t2.transpose(0, 2, 1) @ AR.transpose(1, 0, 2)).transpose(1, 2, 0)
+    t2 = tmp.transpose(2, 1, 0) @ At                             # (p, b, l)
+    return (t2.transpose(0, 2, 1) @ At).transpose(1, 2, 0)
+
+
+def _left_sweep(psi: TemporalMps, w0: np.ndarray, dh: np.ndarray,
+                links: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Left environments of the network; the t-th has absorbed sites 0..t."""
+    A = psi.tensors
+    E = np.einsum("pa,pb,p->abp", A[0][0], A[0][0], w0 * dh)
+    yield E
+    for t in range(1, psi.T):
+        E = _env_step(E, links[t - 1], dh, A[t])
+        yield E
 
 
 def _scaled(val: complex, log_scale: float) -> complex:
@@ -179,34 +190,28 @@ def _scaled(val: complex, log_scale: float) -> complex:
     return val / mag * math.exp(math.log(mag) + log_scale)
 
 
-def temporal_contract(im_left, im_right, kernel: LocalKernel,
+def temporal_contract(im: InfluenceMatrix, kernel: LocalKernel,
                       plan: Optional[InsertionPlan] = None) -> complex:
-    """Value of the folded network: IM_left x local kernel x IM_right.
+    """Value of the folded network: IM x local kernel x IM.
 
-    The contraction is bilinear in the two IMs (no conjugation; both
+    The same IM faces the probed site from the left and from the right.
+    The contraction is bilinear in the two copies (no conjugation; both
     branches of the fold are explicit in the amplitudes).  With an empty
     plan and a unit-trace initial state the result is 1 up to truncation.
     """
-    psi_l, psi_r = _psi_of(im_left), _psi_of(im_right)
-    if psi_l.T != psi_r.T:
-        raise ValueError(f"IM length mismatch: {psi_l.T} vs {psi_r.T}")
-    T = psi_l.T
+    psi = im.psi
+    T = psi.T
     if plan is not None:
         plan.validate(T)
     w0, dh, links, F = kernel_factors(kernel, T, plan)
-    AL0 = psi_l.tensors[0][0]  # (4, a)
-    AR0 = psi_r.tensors[0][0]
-    E = np.einsum("pa,pb,p->abp", AL0, AR0, w0 * dh)
-    for t in range(1, T):
-        E = _env_step(E, links[t - 1], dh, psi_l.tensors[t], psi_r.tensors[t])
+    E = deque(_left_sweep(psi, w0, dh, links), maxlen=1).pop()
     val = complex(np.dot(E[0, 0], F))
-    return _scaled(val, psi_l.norm_log + psi_r.norm_log)
+    return _scaled(val, 2 * psi.norm_log)
 
 
-def _contract_scan(im_left, im_right, kernel: LocalKernel,
-                   base_plan: Optional[InsertionPlan],
-                   op: OpLike, branch: str = "forward") -> np.ndarray:
-    """Values of one scanned insertion at every time k = 1..T.
+def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
+                   base_plan: InsertionPlan) -> np.ndarray:
+    """Values of a forward sigma^z inserted at every time k = 1..T.
 
     Contracting a converged IM with an insertion at k followed by nothing
     but the trace equals the fresh length-k result, so a single solve
@@ -214,44 +219,35 @@ def _contract_scan(im_left, im_right, kernel: LocalKernel,
     insertion-free network are built once; each k then costs one step.
     base_plan may only hold time-0 entries.
     """
-    psi_l, psi_r = _psi_of(im_left), _psi_of(im_right)
-    T = psi_l.T
-    if base_plan is not None:
-        base_plan.validate(T)
-        if any(e.time != 0 for e in base_plan.entries):
-            raise ValueError("scan base plan must only touch time 0")
+    psi = im.psi
+    T = psi.T
+    base_plan.validate(T)
+    if any(e.time != 0 for e in base_plan.entries):
+        raise ValueError("scan base plan must only touch time 0")
     w0, dh, links, F0 = kernel_factors(kernel, T, base_plan)
-    sup = _insertion_superop(Insertion(0, branch, op))
+    sup = _insertion_superop(Insertion(0, "forward", "z"))
     S = kernel.step_superop()
     Sh = kernel.half_superop()
     link_ins = Sh @ sup @ Sh if kernel.split else sup @ S
-    AL = psi_l.tensors
-    AR = psi_r.tensors
+    A = psi.tensors
 
-    lefts = [np.einsum("pa,pb,p->abp", AL[0][0], AR[0][0], w0 * dh)]
-    for t in range(1, T):
-        lefts.append(_env_step(lefts[-1], links[t - 1], dh, AL[t], AR[t]))
+    lefts = list(_left_sweep(psi, w0, dh, links))
     rights = [None] * (T + 1)
     rights[T] = F0.reshape(1, 1, 4)  # (a', b', p_{T-1}) with unit end bonds
     for t in range(T - 1, 0, -1):
         R = rights[t + 1]
-        t1 = AL[t].transpose(1, 0, 2) @ R.transpose(2, 0, 1)   # (p, a, r)
-        tmp = (t1 @ AR[t].transpose(1, 2, 0)).transpose(1, 2, 0)  # (a, b, p)
+        t1 = A[t].transpose(1, 0, 2) @ R.transpose(2, 0, 1)   # (p, a, r)
+        tmp = (t1 @ A[t].transpose(1, 2, 0)).transpose(1, 2, 0)  # (a, b, p)
         rights[t] = np.tensordot(tmp, links[t - 1] * dh[:, None], axes=(2, 0))
 
-    log_scale = psi_l.norm_log + psi_r.norm_log
+    log_scale = 2 * psi.norm_log
     out = np.empty(T, dtype=complex)
-    Mfin = kernel.tail.conj().T @ _op_matrix(op) @ kernel.tail
-    F_ins = Mfin[FOLDED_BWD, FOLDED_FWD] if branch == "forward" else None
+    Mfin = kernel.tail.conj().T @ PAULI["z"] @ kernel.tail
+    F_ins = Mfin[FOLDED_BWD, FOLDED_FWD]
     for k in range(1, T):
-        E = _env_step(lefts[k - 1], link_ins, dh, AL[k], AR[k])
+        E = _env_step(lefts[k - 1], link_ins, dh, A[k])
         out[k - 1] = _scaled(complex(np.sum(E * rights[k + 1])), log_scale)
-    if branch == "forward":
-        out[T - 1] = _scaled(complex(np.dot(lefts[T - 1][0, 0], F_ins)), log_scale)
-    else:
-        end_plan = InsertionPlan(([] if base_plan is None else list(base_plan.entries))
-                                 + [Insertion(T, branch, op)])
-        out[T - 1] = temporal_contract(im_left, im_right, kernel, end_plan)
+    out[T - 1] = _scaled(complex(np.dot(lefts[T - 1][0, 0], F_ins)), log_scale)
     return out
 
 
@@ -283,95 +279,78 @@ def _nan_row(extras: Dict[str, list]) -> None:
     extras["chi"].append(0)
 
 
-def _solve_pair(spec: ModelSpec, chi_max: int, cutoff: float, boundary: str,
-                preserve_weak_bonds: bool, im_sink: Optional[list]):
-    """Converged IM pair and contraction kernel for one parameter point."""
-    im = solve_im(spec, boundary=boundary, chi_max=chi_max, cutoff=cutoff,
-                  preserve_weak_bonds=preserve_weak_bonds)
+def _solve(spec: ModelSpec, chi_max: int, cutoff: float, boundary: str,
+           im_sink: Optional[list]):
+    """Converged IM and contraction kernel for one parameter point."""
+    im = solve_im(spec, boundary=boundary, chi_max=chi_max, cutoff=cutoff)
     if im_sink is not None:
         im_sink.append(im)
     if spec.impurity is not None:
         imp = impurity_im(spec, im, chi_max, cutoff)
         if im_sink is not None:
             im_sink.append(imp)
-        return imp, imp.mirrored(), floquet_kernel(spec, "impurity_site")
-    return im, im.mirrored(), floquet_kernel(spec)
+        return imp, floquet_kernel(spec, "impurity_site")
+    return im, floquet_kernel(spec)
 
 
-def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
-                          T_max: Optional[int] = None, *, boundary: str = "open",
-                          preserve_weak_bonds: bool = False,
-                          reuse_im: bool = False,
-                          im_sink: Optional[list] = None) -> ResultSeries:
-    """Infinite-temperature C_zz(T) for T = 0..T_max.
+def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
+              cutoff: float, boundary: str, reuse_im: bool,
+              im_sink: Optional[list]) -> ResultSeries:
+    """Forward sigma^z at time k after the time-0 entries ``base``, for
+    k = 0..spec.T (the k = 0 row is 1 by convention).
 
-    By default every T gets freshly converged IMs.  With ``reuse_im`` one
-    solve at T_max serves all earlier times through intermediate insertions;
-    exact for converged IMs, cheaper by a factor of T_max.
+    Fresh: a solve at every k and one contraction.  Reuse: one solve at
+    spec.T, scanned over k.
     """
-    if spec.initial_state != "infinite_temperature":
-        raise ValueError("autocorrelator needs the infinite-temperature state")
-    T_max = spec.T if T_max is None else T_max
-    step = spec.eps if spec.eps > 0 else 1.0
-    extras = _blank_extras()
-    values = [complex(1.0)]
-    _nan_row(extras)
-    if reuse_im:
-        sp = replace(spec, T=T_max)
-        iml, imr, kern = _solve_pair(sp, chi_max, cutoff, boundary,
-                                     preserve_weak_bonds, im_sink)
-        base = InsertionPlan([Insertion(0, "forward", "z")])
-        vals = _contract_scan(iml, imr, kern, base, "z")
-        for k in range(1, T_max + 1):
-            values.append(vals[k - 1])
-            _series_extras(extras, iml)
-    else:
-        for k in range(1, T_max + 1):
-            sp = replace(spec, T=k)
-            iml, imr, kern = _solve_pair(sp, chi_max, cutoff, boundary,
-                                         preserve_weak_bonds, im_sink)
-            values.append(temporal_contract(iml, imr, kern, czz_plan(k)))
-            _series_extras(extras, iml)
-    return ResultSeries("autocorrelator",
-                        np.arange(T_max + 1) * step,
-                        np.asarray(values), extras)
-
-
-def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
-                                eps: float, chi_max: int, cutoff: float = 0.0,
-                                *, boundary: str = "open",
-                                preserve_weak_bonds: bool = False,
-                                reuse_im: bool = False,
-                                im_sink: Optional[list] = None) -> ResultSeries:
-    """<sigma^z_0(t)> after a quench from the fully z-polarized state."""
-    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
     T = spec.T
     extras = _blank_extras()
     values = [complex(1.0)]
     _nan_row(extras)
     if reuse_im:
-        iml, imr, kern = _solve_pair(spec, chi_max, cutoff, boundary,
-                                     preserve_weak_bonds, im_sink)
-        vals = _contract_scan(iml, imr, kern, None, "z")
-        for k in range(1, T + 1):
-            values.append(vals[k - 1])
-            _series_extras(extras, iml)
+        im, kern = _solve(spec, chi_max, cutoff, boundary, im_sink)
+        values.extend(_contract_scan(im, kern, InsertionPlan(base)))
+        for _ in range(T):
+            _series_extras(extras, im)
     else:
         for k in range(1, T + 1):
-            sp = replace(spec, T=k)
-            iml, imr, kern = _solve_pair(sp, chi_max, cutoff, boundary,
-                                         preserve_weak_bonds, im_sink)
-            plan = InsertionPlan([Insertion(k, "forward", "z")])
-            values.append(temporal_contract(iml, imr, kern, plan))
-            _series_extras(extras, iml)
-    return ResultSeries("quench-magnetization",
-                        np.arange(T + 1) * eps,
-                        np.asarray(values), extras)
+            im, kern = _solve(replace(spec, T=k), chi_max, cutoff, boundary, im_sink)
+            plan = InsertionPlan(base + [Insertion(k, "forward", "z")])
+            values.append(temporal_contract(im, kern, plan))
+            _series_extras(extras, im)
+    step = spec.eps if spec.eps > 0 else 1.0
+    return ResultSeries(name, np.arange(T + 1) * step, np.asarray(values), extras)
+
+
+def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
+                          T_max: Optional[int] = None, *, boundary: str = "open",
+                          reuse_im: bool = False,
+                          im_sink: Optional[list] = None) -> ResultSeries:
+    """Infinite-temperature C_zz(T) for T = 0..T_max.
+
+    By default every T gets a freshly converged IM.  With ``reuse_im`` one
+    solve at T_max serves all earlier times through intermediate insertions;
+    exact for converged IMs, cheaper by a factor of T_max.
+    """
+    if spec.initial_state != "infinite_temperature":
+        raise ValueError("autocorrelator needs the infinite-temperature state")
+    sp = spec if T_max is None else replace(spec, T=T_max)
+    return _z_series("autocorrelator", sp, [Insertion(0, "forward", "z")],
+                     chi_max, cutoff, boundary, reuse_im, im_sink)
+
+
+def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
+                                eps: float, chi_max: int, cutoff: float = 0.0,
+                                *, boundary: str = "open",
+                                reuse_im: bool = False,
+                                im_sink: Optional[list] = None) -> ResultSeries:
+    """<sigma^z_0(t)> after a quench from the fully z-polarized state."""
+    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
+    return _z_series("quench-magnetization", spec, [], chi_max, cutoff,
+                     boundary, reuse_im, im_sink)
 
 
 def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
                    cutoff: float = 0.0, *, boundary: str = "open",
-                   preserve_weak_bonds: bool = False,
                    abscissa: Optional[Sequence[float]] = None,
                    im_sink: Optional[list] = None) -> ResultSeries:
     """Half-cut and max temporal entanglement of converged IMs.
@@ -389,8 +368,7 @@ def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
         per_chi = []
         last_im = None
         for c in chis:
-            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff,
-                          preserve_weak_bonds=preserve_weak_bonds)
+            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff)
             if im_sink is not None:
                 im_sink.append(im)
             half, smax = _final_entropies(im)

@@ -136,8 +136,7 @@ def test_criterion_4_entanglement_barrier(capsys):
 def test_criterion_6_trotter_entropy_scaling(capsys):
     eps = [0.04, 0.02, 0.01]
     specs = [trotterize(1.0, math.sqrt(2.0), 0.681, 2.0, e) for e in eps]
-    ser = entropy_series(specs, [32, 64], cutoff=0.0,
-                         preserve_weak_bonds=True, abscissa=eps)
+    ser = entropy_series(specs, [32, 64], cutoff=0.0, abscissa=eps)
     s = ser.values.real
     ratios = (s[0] / s[1], s[1] / s[2])
     conv = ser.extras["chi_converged"]
@@ -310,7 +309,7 @@ def test_criterion_5_trace_preservation(capsys):
     for im in REGISTRY:
         role = "impurity_site" if "impurity_drift" in im.diagnostics else "bulk"
         kern = floquet_kernel(im.spec, role)
-        val = temporal_contract(im, im.mirrored(), kern)
+        val = temporal_contract(im, kern)
         worst = max(worst, abs(val - 1.0))
     ok = worst < 1e-8
     _report(capsys, 5, ok,

@@ -44,6 +44,8 @@ def test_parse_config_rejections():
         parse_config_text(TINY_QUENCH + "chi = \n")
     with pytest.raises(ConfigError):
         parse_config_text("experiment = entropy-scan\nchi = 8\n")
+    with pytest.raises(ConfigError, match="unknown key 'samples'"):
+        parse_config_text(TINY_QUENCH + "samples = 3\n")  # read by nothing
 
 
 def test_csv_writer_format(tmp_path):
@@ -151,6 +153,25 @@ def test_entropy_subcommand(tmp_path):
     assert cli.main(["entropy", str(cfgq)]) == 2
 
 
+def test_out_directory_rule(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a run that ignored both would write here
+    cfgp = tmp_path / "q.cfg"
+    cfgp.write_text(TINY_QUENCH + f"out = {tmp_path / 'from_cfg'}\n")
+    assert cli.main(["run", str(cfgp)]) == 0
+    assert (tmp_path / "from_cfg" / "quench_chi8.csv").exists()
+    assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "from_flag")]) == 0
+    assert sorted(os.listdir(tmp_path / "from_flag")) == sorted(
+        os.listdir(tmp_path / "from_cfg"))
+    assert not (tmp_path / "quench_chi8.csv").exists()
+    # entropy follows the same rule; --out wins there too
+    cfge = tmp_path / "e.cfg"
+    cfge.write_text("experiment = entropy-scan\nJ = 0.31\ng = 0.57\nh = 0.23\n"
+                    f"T_list = 2\nchi = 4\nout = {tmp_path / 'e_cfg'}\n")
+    assert cli.main(["entropy", str(cfge), "--out", str(tmp_path / "e_flag")]) == 0
+    assert (tmp_path / "e_flag" / "entropy-scan_chi4.csv").exists()
+    assert not (tmp_path / "e_cfg").exists()
+
+
 def test_oracle_check_subcommand():
     assert cli.main(["oracle-check", "--tmax", "2"]) == 0
 
@@ -235,6 +256,20 @@ def test_manifest_solve_summary(tmp_path):
     assert imp["discarded_weight"] > 0.0
     assert np.isclose(imp["discarded_weight"], total, rtol=1e-12)
     assert all(float(r[3]) > 0.0 for r in rows[2:])  # half-cut entropy, T >= 2
+
+
+def test_preserve_weak_bonds_means_cutoff_zero(tmp_path):
+    """The config key maps to cutoff 0, whatever cutoff says."""
+    base = TINY_IMPURITY.replace("cutoff = 0\n", "")
+    csv = {}
+    for tag, extra in (("pwb", "cutoff = 1e-8\npreserve_weak_bonds = true\n"),
+                       ("zero", "cutoff = 0\n"), ("cut", "cutoff = 1e-8\n")):
+        cfgp = tmp_path / f"{tag}.cfg"
+        cfgp.write_text(base + extra)
+        assert cli.main(["run", str(cfgp), "--out", str(tmp_path / tag)]) == 0
+        csv[tag] = (tmp_path / tag / "hamiltonian-impurity_chi4.csv").read_bytes()
+    assert csv["pwb"] == csv["zero"]
+    assert csv["cut"] != csv["zero"]  # the cutoff it overrides does bite here
 
 
 def test_bundled_configs_parse():

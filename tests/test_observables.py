@@ -18,9 +18,8 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
 
 
-def _im_pair(spec, chi=256):
-    im = solve_im(spec, chi_max=chi, cutoff=0.0)
-    return im, im.mirrored()
+def _im(spec, chi=256):
+    return solve_im(spec, chi_max=chi, cutoff=0.0)
 
 
 def test_plan_validation():
@@ -43,8 +42,7 @@ def test_czz_plan_shape():
 
 
 def test_empty_plan_contracts_to_one():
-    iml, imr = _im_pair(SPEC)
-    val = temporal_contract(iml, imr, floquet_kernel(SPEC))
+    val = temporal_contract(_im(SPEC), floquet_kernel(SPEC))
     assert np.isclose(val, 1.0, atol=1e-12)
 
 
@@ -54,16 +52,16 @@ def test_empty_plan_contracts_to_one():
     ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1, trotter_order=1),
 ])
 def test_contract_matches_dense_kernel_sum(spec):
-    iml, imr = _im_pair(spec)
+    im = _im(spec)
     kern = floquet_kernel(spec)
-    dl, dr = iml.psi.dense(), imr.psi.dense()
+    d = im.psi.dense()
     for plan in (None,
                  czz_plan(spec.T),
                  InsertionPlan((Insertion(1, "backward", SZ),
                                 Insertion(spec.T, "forward", SZ))),
                  InsertionPlan((Insertion(2, "both", SX),))):
-        got = temporal_contract(iml, imr, kern, plan)
-        want = oracles.dense_kernel_contract(dl, dr, spec, plan)
+        got = temporal_contract(im, kern, plan)
+        want = oracles.dense_kernel_contract(d, d, spec, plan)
         assert np.isclose(got, want, atol=1e-11), plan
 
 
@@ -71,9 +69,9 @@ def test_contract_uses_kernel_not_spec():
     # alpha enters through the kernel argument only
     spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=3,
                      impurity=Impurity(alpha=0.4, beta=1.0))
-    iml, imr = _im_pair(spec)
-    bulk = temporal_contract(iml, imr, floquet_kernel(spec), czz_plan(3))
-    imp = temporal_contract(iml, imr, floquet_kernel(spec, "impurity_site"),
+    im = _im(spec)
+    bulk = temporal_contract(im, floquet_kernel(spec), czz_plan(3))
+    imp = temporal_contract(im, floquet_kernel(spec, "impurity_site"),
                             czz_plan(3))
     assert abs(bulk - imp) > 1e-3
 
@@ -168,9 +166,9 @@ def test_im_sink_collects_converged_ims():
 @given(st.integers(0, 3), st.integers(0, 3),
        st.sampled_from(["forward", "backward", "both"]))
 def test_contract_random_plan_against_dense(t1, t2, branch):
-    iml, imr = _im_pair(SPEC, chi=64)
+    im = _im(SPEC, chi=64)
     plan = InsertionPlan((Insertion(t1, branch, SZ), Insertion(t2, "forward", SZ)))
-    got = temporal_contract(iml, imr, floquet_kernel(SPEC), plan)
-    want = oracles.dense_kernel_contract(iml.psi.dense(), imr.psi.dense(),
+    got = temporal_contract(im, floquet_kernel(SPEC), plan)
+    want = oracles.dense_kernel_contract(im.psi.dense(), im.psi.dense(),
                                          SPEC, plan)
     assert np.isclose(got, want, atol=1e-10)
