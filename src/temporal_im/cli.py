@@ -6,9 +6,9 @@ one CSV per (experiment, chi[, boundary]) plus ``run_manifest.json``.  CSVs
 are deterministic for a fixed config and seed; the manifest is not (it
 records wall time).
 
-Every subcommand runs BLAS on one thread and spends the cores on independent
-(chi, boundary) jobs instead, so CSV bytes do not depend on ``--threads`` or
-on the host's core count.
+Every subcommand runs BLAS on one thread and spends the cores on
+independent solve points instead (see ``observables.SeriesPlan``), so CSV
+bytes do not depend on ``--threads`` or on the host's core count.
 """
 from __future__ import annotations
 
@@ -256,8 +256,9 @@ def _entropy_specs(cfg: ExperimentConfig) -> List[ModelSpec]:
 class SolveSummary:
     """Convergence record of the IMs behind one CSV, for the manifest.
 
-    Passed as a series function's ``im_sink``: each IM is folded in as it
-    arrives and not kept.  Solves are the ``solve_im`` results.  An impurity
+    Each IM is folded in as its point completes and not kept; fields are
+    maxima, counts and an exactly rounded sum, so the order of the points
+    does not matter.  Solves are the ``solve_im`` results.  An impurity
     IM extends the solve before it by one slice: it adds its trace residual
     and its slice's discarded weight, the last entry of its record.
     """
@@ -287,87 +288,107 @@ class SolveSummary:
                 "discarded_weight": math.fsum(self._weights)}
 
 
-def _series_jobs(cfg: ExperimentConfig, seed: Optional[int]):
-    """(label, callable) pairs, one per output CSV, largest chi first.
-
-    Each callable returns the series and the ``SolveSummary`` of its IMs.
-    """
-    from .observables import (autocorrelator_series, entropy_series,
-                              quench_magnetization_series)
+def _series_plans(cfg: ExperimentConfig):
+    """((chi, boundary), SeriesPlan) pairs, one per output CSV, largest chi
+    first."""
+    from .observables import (autocorrelator_plan, entropy_plan,
+                              quench_magnetization_plan)
 
     exp = cfg.experiment
-    chis = sorted(cfg.chi, reverse=True)
     cutoff = cfg.get("cutoff", 0.0)
     if cfg.get("preserve_weak_bonds", False):
         cutoff = 0.0  # keep every Schmidt value up to chi
     reuse = cfg.get("reuse_im", False)
-    boundaries = cfg.get("boundary", ["open"])
     if exp == "entropy-scan":
         specs = _entropy_specs(cfg)
 
-        def series(chi, b, sink):
-            return entropy_series(specs, [chi], cutoff, boundary=b, im_sink=sink)
+        def plan(chi, b):
+            return entropy_plan(specs, [chi], cutoff, boundary=b)
     elif exp == "quench":
-        def series(chi, b, sink):
-            return quench_magnetization_series(
+        def plan(chi, b):
+            return quench_magnetization_plan(
                 cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
-                boundary=b, reuse_im=reuse, im_sink=sink)
+                boundary=b, reuse_im=reuse)
     else:
         spec = _spec_for(cfg)
 
-        def series(chi, b, sink):
-            return autocorrelator_series(spec, chi, cutoff, spec.T,
-                                         boundary=b, reuse_im=reuse,
-                                         im_sink=sink)
-    jobs = []
-    for chi in chis:
-        for b in boundaries:
-            def job(chi=chi, b=b):
-                sink = SolveSummary()
-                return series(chi, b, sink), sink.as_dict()
-            jobs.append(((chi, b), job))
-    return jobs
+        def plan(chi, b):
+            return autocorrelator_plan(spec, chi, cutoff, spec.T, boundary=b,
+                                       reuse_im=reuse)
+    return [((chi, b), plan(chi, b)) for chi in sorted(cfg.chi, reverse=True)
+            for b in cfg.get("boundary", ["open"])]
+
+
+def _run_points(plans, workers: int):
+    """Solve every point of every plan; returns each plan's point rows and
+    the ``SolveSummary`` of its IMs.
+
+    Points start largest first: chi descending, then size descending.  With
+    more than one worker they run on a thread pool, and the calling thread
+    folds each point as it completes, so at most one point's IMs per worker
+    are alive.  A failing point cancels the points not yet started.
+    """
+    rows = [[None] * len(plan.points) for _, plan in plans]
+    summaries = [SolveSummary() for _ in plans]
+    tasks = sorted(((chi, size, i, j, fn)
+                    for i, ((chi, _), plan) in enumerate(plans)
+                    for j, (size, fn) in enumerate(plan.points)),
+                   key=lambda t: (-t[0], -t[1]))
+
+    def solve(fn):
+        ims: list = []
+        return fn(ims), ims
+
+    def fold(i, j, done):
+        rows[i][j], ims = done
+        for im in ims:
+            summaries[i].append(im)
+
+    if workers == 1:
+        for _, _, i, j, fn in tasks:
+            fold(i, j, solve(fn))
+        return rows, summaries
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        futs = {pool.submit(solve, fn): (i, j) for _, _, i, j, fn in tasks}
+        try:
+            for fut in concurrent.futures.as_completed(futs):
+                fold(*futs.pop(fut), fut.result())
+        finally:
+            for fut in futs:  # on failure: the points not yet started
+                fut.cancel()
+    return rows, summaries
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
                    threads: Optional[int] = None
                    ) -> Tuple[List[str], int, Dict[str, dict]]:
-    """Write the config's CSVs; returns their paths, the job workers used and
+    """Write the config's CSVs; returns their paths, the workers used and
     the ``SolveSummary`` of each CSV by file name.
 
-    ``threads`` caps the workers (see ``_thread_count``); with one worker
-    the jobs run serially on the calling thread.
+    The unit of work is one solve point (see ``SeriesPlan``).  ``threads``
+    caps the workers (see ``_thread_count``); with one worker the points run
+    serially on the calling thread.
     """
     if cfg.experiment == "oracle-check":
         rc = oracle_check(cfg.get("tmax", 4))
         if rc != 0:
             raise NumericalInstabilityError("oracle cross-checks failed")
         return [], 1, {}
-    jobs = _series_jobs(cfg, seed)
-    workers = _thread_count(threads, len(jobs))
+    plans = _series_plans(cfg)
+    workers = _thread_count(threads, sum(len(p.points) for _, p in plans))
+    rows, summaries = _run_points(plans, workers)
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
     if cfg.experiment == "entropy-scan" and "eps_list" in cfg.raw:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
-    summaries: Dict[str, dict] = {}
-    results: Dict[tuple, object] = {}
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(fn): key for key, fn in jobs}
-            for fut, key in futs.items():
-                results[key] = fut.result()
-    else:
-        for key, fn in jobs:
-            results[key] = fn()
-    for key, _ in jobs:  # keep emission order deterministic: largest chi first
-        chi, boundary = key
-        series, summary = results[key]
+    solves: Dict[str, dict] = {}
+    for ((chi, boundary), plan), point_rows, summary in zip(plans, rows, summaries):
         suffix = f"_chi{chi}" + ("" if boundary == "open" else f"_{boundary}")
         path = os.path.join(out_dir, f"{cfg.experiment}{suffix}.csv")
-        write_series_csv(path, series, chi, eps, boundary, seed)
+        write_series_csv(path, plan.assemble(point_rows), chi, eps, boundary, seed)
         written.append(path)
-        summaries[os.path.basename(path)] = summary
-    return written, workers, summaries
+        solves[os.path.basename(path)] = summary.as_dict()
+    return written, workers, solves
 
 
 def write_manifest(out_dir: str, cfg: ExperimentConfig, seed: Optional[int],
@@ -455,9 +476,9 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(arg: Optional[int], n_jobs: int) -> int:
-    """Job workers: ``--threads``, else ``TEMPORAL_IM_THREADS``, else the
-    usable cores; never more than the jobs, never fewer than one."""
+def _thread_count(arg: Optional[int], n_points: int) -> int:
+    """Workers: ``--threads``, else ``TEMPORAL_IM_THREADS``, else the usable
+    cores; never more than the solve points, never fewer than one."""
     if arg is None:
         env = os.environ.get("TEMPORAL_IM_THREADS", "")
         try:
@@ -466,7 +487,7 @@ def _thread_count(arg: Optional[int], n_jobs: int) -> int:
             arg = None
     if arg is None:
         arg = _usable_cores()
-    return max(1, min(arg, n_jobs))
+    return max(1, min(arg, n_points))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -479,8 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="output directory (default: the config's out, else .)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None,
-                        help="jobs run at once (default: TEMPORAL_IM_THREADS, "
-                             "else the usable cores; at most the jobs)")
+                        help="solve points run at once (default: "
+                             "TEMPORAL_IM_THREADS, else the usable cores; "
+                             "at most the points)")
     sub.add_parser("run", parents=[common], help="run an experiment config")
     p_orc = sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     p_orc.add_argument("--tmax", type=int, default=4)

@@ -401,17 +401,24 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
     magic = src.read(4)
     if magic != _CKPT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
-    (n,) = struct.unpack("<I", src.read(4))
-    header = json.loads(src.read(n).decode())
-    if header["version"] not in _CKPT_READABLE:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
-    psi = load_mps(src)
-    return InfluenceMatrix(psi=psi, spec=_spec_from_header(header["spec"]),
-                           boundary=header["boundary"], chi_max=header["chi_max"],
-                           cutoff=header["cutoff"],
-                           iterations_applied=header["iterations"],
-                           converged=header["converged"],
-                           eigenvalue_drift=header["eigenvalue_drift"])
+    try:
+        (n,) = struct.unpack("<I", src.read(4))
+        blob = src.read(n)
+        if len(blob) != n:
+            raise ValueError(f"checkpoint header cut at {len(blob)} of {n} bytes")
+        header = json.loads(blob.decode())
+        if header["version"] not in _CKPT_READABLE:
+            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        spec = _spec_from_header(header["spec"])
+        psi = load_mps(src)
+        return InfluenceMatrix(psi=psi, spec=spec,
+                               boundary=header["boundary"], chi_max=header["chi_max"],
+                               cutoff=header["cutoff"],
+                               iterations_applied=header["iterations"],
+                               converged=header["converged"],
+                               eigenvalue_drift=header["eigenvalue_drift"])
+    except (KeyError, TypeError, struct.error) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from exc
 
 
 def checkpoint_bytes(im: InfluenceMatrix) -> bytes:

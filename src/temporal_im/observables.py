@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from functools import partial
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -253,6 +255,27 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
 # ------------------------------------------------------------------- series
 
+# The rows of a series or of one point: values, and extras columns by name.
+Rows = Tuple[List[complex], Dict[str, list]]
+
+
+class SeriesPlan(NamedTuple):
+    """A series split into independent solve points.
+
+    ``points`` holds ``(size, fn)`` pairs.  ``fn(im_sink)`` solves and
+    contracts one point and returns its rows; ``size`` is the point's T, by
+    which a scheduler can start the largest points first.  Points share no
+    state, so they may run in any order or at once.  ``assemble`` takes the
+    rows of every point, in point order, and returns the series.
+    """
+    points: List[Tuple[int, Callable[[Optional[list]], Rows]]]
+    assemble: Callable[[Sequence[Rows]], ResultSeries]
+
+    def run(self, im_sink: Optional[list] = None) -> ResultSeries:
+        """The series, its points solved one after another."""
+        return self.assemble([fn(im_sink) for _, fn in self.points])
+
+
 def _final_entropies(im: InfluenceMatrix):
     d = im.diagnostics
     if d.get("entropy_halfcut"):
@@ -260,23 +283,23 @@ def _final_entropies(im: InfluenceMatrix):
     return 0.0, 0.0
 
 
-def _series_extras(extras: Dict[str, list], im: InfluenceMatrix) -> None:
+def _im_rows(im: InfluenceMatrix, n: int) -> Dict[str, list]:
+    """``n`` extras rows, each describing ``im``."""
     half, smax = _final_entropies(im)
-    extras["entropy_halfcut"].append(half)
-    extras["entropy_max"].append(smax)
-    extras["discarded_weight"].append(float(np.sum(im.diagnostics.get("discarded_weight", [0.0]))))
-    extras["chi"].append(im.psi.max_bond())
+    dw = float(np.sum(im.diagnostics.get("discarded_weight", [0.0])))
+    return {"entropy_halfcut": [half] * n, "entropy_max": [smax] * n,
+            "discarded_weight": [dw] * n, "chi": [im.psi.max_bond()] * n}
 
 
-def _blank_extras() -> Dict[str, list]:
-    return {"entropy_halfcut": [], "entropy_max": [],
-            "discarded_weight": [], "chi": []}
-
-
-def _nan_row(extras: Dict[str, list]) -> None:
-    for k in ("entropy_halfcut", "entropy_max", "discarded_weight"):
-        extras[k].append(float("nan"))
-    extras["chi"].append(0)
+def _join(head: Rows, rows: Sequence[Rows]) -> Rows:
+    """``head`` followed by the rows of every point."""
+    values = list(head[0])
+    extras = {k: list(col) for k, col in head[1].items()}
+    for vals, ex in rows:
+        values.extend(vals)
+        for k, col in ex.items():
+            extras[k].extend(col)
+    return values, extras
 
 
 def _solve(spec: ModelSpec, chi_max: int, cutoff: float, boundary: str,
@@ -293,32 +316,47 @@ def _solve(spec: ModelSpec, chi_max: int, cutoff: float, boundary: str,
     return im, floquet_kernel(spec)
 
 
-def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
-              cutoff: float, boundary: str, reuse_im: bool,
-              im_sink: Optional[list]) -> ResultSeries:
+def _z_plan(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
+            cutoff: float, boundary: str, reuse_im: bool) -> SeriesPlan:
     """Forward sigma^z at time k after the time-0 entries ``base``, for
     k = 0..spec.T (the k = 0 row is 1 by convention).
 
-    Fresh: a solve at every k and one contraction.  Reuse: one solve at
-    spec.T, scanned over k.
+    Fresh: one point per k, each a solve and one contraction.  Reuse: one
+    point, a solve at spec.T scanned over k.
     """
     T = spec.T
-    extras = _blank_extras()
-    values = [complex(1.0)]
-    _nan_row(extras)
-    if reuse_im:
+
+    def scan(im_sink):
         im, kern = _solve(spec, chi_max, cutoff, boundary, im_sink)
-        values.extend(_contract_scan(im, kern, InsertionPlan(base)))
-        for _ in range(T):
-            _series_extras(extras, im)
-    else:
-        for k in range(1, T + 1):
-            im, kern = _solve(replace(spec, T=k), chi_max, cutoff, boundary, im_sink)
-            plan = InsertionPlan(base + [Insertion(k, "forward", "z")])
-            values.append(temporal_contract(im, kern, plan))
-            _series_extras(extras, im)
-    step = spec.eps if spec.eps > 0 else 1.0
-    return ResultSeries(name, np.arange(T + 1) * step, np.asarray(values), extras)
+        return list(_contract_scan(im, kern, InsertionPlan(base))), _im_rows(im, T)
+
+    def fresh(k, im_sink):
+        im, kern = _solve(replace(spec, T=k), chi_max, cutoff, boundary, im_sink)
+        plan = InsertionPlan(base + [Insertion(k, "forward", "z")])
+        return [temporal_contract(im, kern, plan)], _im_rows(im, 1)
+
+    def assemble(rows):
+        nan = float("nan")
+        head = ([complex(1.0)], {"entropy_halfcut": [nan], "entropy_max": [nan],
+                                 "discarded_weight": [nan], "chi": [0]})
+        values, extras = _join(head, rows)
+        step = spec.eps if spec.eps > 0 else 1.0
+        return ResultSeries(name, np.arange(T + 1) * step, np.asarray(values), extras)
+
+    points = ([(T, scan)] if reuse_im
+              else [(k, partial(fresh, k)) for k in range(1, T + 1)])
+    return SeriesPlan(points, assemble)
+
+
+def autocorrelator_plan(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
+                        T_max: Optional[int] = None, *, boundary: str = "open",
+                        reuse_im: bool = False) -> SeriesPlan:
+    """``autocorrelator_series`` as independent solve points."""
+    if spec.initial_state != "infinite_temperature":
+        raise ValueError("autocorrelator needs the infinite-temperature state")
+    sp = spec if T_max is None else replace(spec, T=T_max)
+    return _z_plan("autocorrelator", sp, [Insertion(0, "forward", "z")],
+                   chi_max, cutoff, boundary, reuse_im)
 
 
 def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
@@ -331,11 +369,18 @@ def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
     solve at T_max serves all earlier times through intermediate insertions;
     exact for converged IMs, cheaper by a factor of T_max.
     """
-    if spec.initial_state != "infinite_temperature":
-        raise ValueError("autocorrelator needs the infinite-temperature state")
-    sp = spec if T_max is None else replace(spec, T=T_max)
-    return _z_series("autocorrelator", sp, [Insertion(0, "forward", "z")],
-                     chi_max, cutoff, boundary, reuse_im, im_sink)
+    return autocorrelator_plan(spec, chi_max, cutoff, T_max, boundary=boundary,
+                               reuse_im=reuse_im).run(im_sink)
+
+
+def quench_magnetization_plan(J: float, g: float, h: float, t_max: float,
+                              eps: float, chi_max: int, cutoff: float = 0.0,
+                              *, boundary: str = "open",
+                              reuse_im: bool = False) -> SeriesPlan:
+    """``quench_magnetization_series`` as independent solve points."""
+    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
+    return _z_plan("quench-magnetization", spec, [], chi_max, cutoff,
+                   boundary, reuse_im)
 
 
 def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
@@ -344,9 +389,42 @@ def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
                                 reuse_im: bool = False,
                                 im_sink: Optional[list] = None) -> ResultSeries:
     """<sigma^z_0(t)> after a quench from the fully z-polarized state."""
-    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
-    return _z_series("quench-magnetization", spec, [], chi_max, cutoff,
-                     boundary, reuse_im, im_sink)
+    return quench_magnetization_plan(J, g, h, t_max, eps, chi_max, cutoff,
+                                     boundary=boundary,
+                                     reuse_im=reuse_im).run(im_sink)
+
+
+def entropy_plan(specs: Sequence[ModelSpec], chi_list: Sequence[int],
+                 cutoff: float = 0.0, *, boundary: str = "open",
+                 abscissa: Optional[Sequence[float]] = None) -> SeriesPlan:
+    """``entropy_series`` as independent solve points, one per spec."""
+    chis = sorted(chi_list)
+
+    def point(spec, im_sink):
+        halves = []
+        for c in chis:
+            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff)
+            if im_sink is not None:
+                im_sink.append(im)
+            halves.append(_final_entropies(im)[0])
+        half = halves[-1]
+        converged = (len(halves) < 2
+                     or abs(half - halves[-2]) / max(abs(half), 1e-30) <= 0.02)
+        return [complex(half)], {**_im_rows(im, 1), "chi_converged": [converged],
+                                 "by_chi": [halves]}
+
+    def assemble(rows):
+        head = ([], {"entropy_halfcut": [], "entropy_max": [],
+                     "discarded_weight": [], "chi": [], "chi_converged": [],
+                     "by_chi": []})
+        values, extras = _join(head, rows)
+        per_point = extras["by_chi"]
+        extras["by_chi"] = {c: [h[i] for h in per_point] for i, c in enumerate(chis)}
+        xs = (np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
+              if abscissa is None else np.asarray(abscissa, dtype=float))
+        return ResultSeries("temporal-entropy", xs, np.asarray(values), extras)
+
+    return SeriesPlan([(s.T, partial(point, s)) for s in specs], assemble)
 
 
 def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
@@ -359,31 +437,5 @@ def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
     the reported value comes from the largest chi, and the point counts as
     chi-converged when the two largest chis agree within 2%.
     """
-    chis = sorted(chi_list)
-    extras = _blank_extras()
-    extras["chi_converged"] = []
-    extras["by_chi"] = {c: [] for c in chis}
-    values = []
-    for spec in specs:
-        per_chi = []
-        last_im = None
-        for c in chis:
-            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff)
-            if im_sink is not None:
-                im_sink.append(im)
-            half, smax = _final_entropies(im)
-            per_chi.append((half, smax))
-            extras["by_chi"][c].append(half)
-            last_im = im
-        half, smax = per_chi[-1]
-        if len(per_chi) >= 2:
-            prev = per_chi[-2][0]
-            denom = max(abs(half), 1e-30)
-            extras["chi_converged"].append(abs(half - prev) / denom <= 0.02)
-        else:
-            extras["chi_converged"].append(True)
-        values.append(complex(half))
-        _series_extras(extras, last_im)
-    xs = (np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
-          if abscissa is None else np.asarray(abscissa, dtype=float))
-    return ResultSeries("temporal-entropy", xs, np.asarray(values), extras)
+    return entropy_plan(specs, chi_list, cutoff, boundary=boundary,
+                        abscissa=abscissa).run(im_sink)

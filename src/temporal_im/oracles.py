@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .models import (ID2, PAULI, SX, SZ, ModelSpec, floquet_kernel,
                      initial_density, kick_matrix)
-from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
+from .tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR,
+                     scipy_linalg)
 
 ED_MAX_SITES = 13       # 2^13 x 2^13 complex matrix ~ 1.1 GB
 DENSE_MAX_STEPS = 6     # 4^6 x 4^6 dense slice ~ 268 MB
@@ -395,7 +395,7 @@ def hamiltonian_dense(J: float, g: float, h: float, L: int) -> np.ndarray:
 
 
 def hamiltonian_propagator(J: float, g: float, h: float, L: int, t: float) -> np.ndarray:
-    return scipy.linalg.expm(-1j * hamiltonian_dense(J, g, h, L) * t)
+    return scipy_linalg().expm(-1j * hamiltonian_dense(J, g, h, L) * t)
 
 
 def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,

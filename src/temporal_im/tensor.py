@@ -1,6 +1,10 @@
 """Dense complex tensor primitives: truncated SVD, the folded-index tables,
 and the BLAS thread pin the command line runs them under.
 
+scipy is imported on first use only (``scipy_linalg``): it loads a second
+OpenBLAS and costs a run about 0.3 s and 26 MiB (2-core x86 host), and the
+engine needs it only for the rare gesvd fallback.
+
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
 pair as (up,up), (up,down), (down,up), (down,down) -> 0..3, with up = +1.
@@ -9,10 +13,11 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+import sys
+import threading
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 # z eigenvalues of the forward and backward branch for folded index p = 0..3
 FOLDED_SIGMA = np.array([+1.0, +1.0, -1.0, -1.0])
@@ -52,7 +57,7 @@ def _svd(m: np.ndarray):
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd can fail to converge on nasty inputs; gesvd is slower but robust
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+        return scipy_linalg().svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors:
@@ -85,15 +90,16 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors
 
 # ------------------------------------------------------------ BLAS threads
 
-def _openblas_controls() -> List[tuple]:
+def _openblas_libs() -> Dict[str, tuple]:
     """(get, set) thread-count functions of every OpenBLAS loaded in this
-    process, found through ``/proc/self/maps``; empty elsewhere."""
+    process by library path, found through ``/proc/self/maps``; empty
+    elsewhere."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({line.split()[-1] for line in f if "openblas" in line})
     except OSError:
-        return []
-    controls = []
+        return {}
+    libs = {}
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
@@ -101,14 +107,23 @@ def _openblas_controls() -> List[tuple]:
             continue
         for get, put in _OPENBLAS_SYMBOLS:
             if hasattr(lib, get) and hasattr(lib, put):
-                controls.append((getattr(lib, get), getattr(lib, put)))
+                libs[path] = (getattr(lib, get), getattr(lib, put))
                 break
-    return controls
+    return libs
 
 
 def blas_threads() -> Tuple[int, ...]:
     """Current thread count of each loaded OpenBLAS; empty if none is found."""
-    return tuple(get() for get, _ in _openblas_controls())
+    return tuple(get() for get, _ in _openblas_libs().values())
+
+
+# State of the open ``one_blas_thread`` blocks, guarded by _PIN_LOCK: how many
+# are open, the libraries they hold at one thread, and the (set, count) pairs
+# of libraries loaded while one was open, restored when the last one closes.
+_PIN_LOCK = threading.Lock()
+_pin_blocks = 0
+_pinned_paths: set = set()
+_late_pins: List[Tuple[Callable, int]] = []
 
 
 @contextlib.contextmanager
@@ -120,15 +135,56 @@ def one_blas_thread() -> Iterator[Optional[int]]:
     twice the CPU, and independent jobs use the cores better.  Results then
     also do not depend on the host's core count.  Yields 1, or None when no OpenBLAS control was found
     (the block then runs unchanged).  The caller's counts are restored on
-    exit.  Setting ``OPENBLAS_NUM_THREADS`` instead would have no effect once
+    exit.  An OpenBLAS that ``scipy_linalg`` loads inside the block runs on
+    one thread too, and gets its count back when the outermost block exits.
+    Setting ``OPENBLAS_NUM_THREADS`` instead would have no effect once
     numpy is loaded, and would leak into child processes.
     """
-    controls = _openblas_controls()
-    saved = [get() for get, _ in controls]
-    for _, put in controls:
-        put(1)
+    global _pin_blocks
+    with _PIN_LOCK:
+        libs = _openblas_libs()
+        saved = [(put, get()) for get, put in libs.values()]
+        for put, _ in saved:
+            put(1)
+        _pin_blocks += 1
+        _pinned_paths.update(libs)
     try:
-        yield 1 if controls else None
+        yield 1 if libs else None
     finally:
-        for (_, put), n in zip(controls, saved):
-            put(n)
+        with _PIN_LOCK:
+            for put, n in saved:
+                put(n)
+            _pin_blocks -= 1
+            if _pin_blocks == 0:
+                for put, n in _late_pins:
+                    put(n)
+                _late_pins.clear()
+                _pinned_paths.clear()
+
+
+def scipy_linalg():
+    """``scipy.linalg``, imported on first use.
+
+    Its import loads scipy's own OpenBLAS; inside a ``one_blas_thread``
+    block that library is pinned to one thread as well.
+    """
+    fresh = "scipy.linalg" not in sys.modules
+    import scipy.linalg
+    if fresh:
+        with _PIN_LOCK:
+            if _pin_blocks:
+                for path, (get, put) in _openblas_libs().items():
+                    if path not in _pinned_paths:
+                        _late_pins.append((put, get()))
+                        put(1)
+                        _pinned_paths.add(path)
+    return scipy.linalg
+
+
+def __getattr__(name: str):
+    """``tensor.scipy`` imports scipy on first access, so code that patches
+    the fallback's ``scipy.linalg.svd`` through this module still works."""
+    if name == "scipy":
+        scipy_linalg()
+        return sys.modules["scipy"]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from temporal_im import cli
 from temporal_im.cli import (ConfigError, CSV_COLUMNS, load_config,
                              parse_config_text, write_series_csv)
 from temporal_im.observables import ResultSeries
-from temporal_im.tensor import _openblas_controls, blas_threads
+from temporal_im.tensor import _openblas_libs, blas_threads
 
 TINY_QUENCH = """
 # smallest useful quench run
@@ -325,7 +327,7 @@ def test_thread_count_default(monkeypatch):
 def test_thread_layout(tmp_path):
     """Job workers do not change CSV bytes, and the caller's BLAS thread
     count survives the call."""
-    controls = _openblas_controls()
+    controls = list(_openblas_libs().values())
     if not controls:
         pytest.skip("no OpenBLAS thread control found in this process")
     cfgp = tmp_path / "q.cfg"
@@ -348,3 +350,105 @@ def test_thread_layout(tmp_path):
     for chi in (8, 4):
         name = f"quench_chi{chi}.csv"
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+
+FRESH_FLOQUET = """
+experiment = floquet-czz
+J = 0.8
+g = 0.7236
+h = 0.6472
+T_max = 6
+chi = 8,4
+cutoff = 1e-12
+boundary = open,perfect_dephaser
+"""
+
+
+@pytest.mark.parametrize("text,files", [
+    (TINY_IMPURITY, {"hamiltonian-impurity_chi4.csv": (4, "open")}),
+    (FRESH_FLOQUET, {"floquet-czz_chi8.csv": (8, "open"),
+                     "floquet-czz_chi8_perfect_dephaser.csv": (8, "perfect_dephaser"),
+                     "floquet-czz_chi4.csv": (4, "open"),
+                     "floquet-czz_chi4_perfect_dephaser.csv": (4, "perfect_dephaser")}),
+], ids=["impurity", "floquet_two_chi"])
+def test_fresh_points_fan_out(tmp_path, text, files):
+    """A fresh series' solves spread over the workers; the CSVs and solve
+    summaries do not depend on how many, and match the library's serial
+    series."""
+    from temporal_im.observables import autocorrelator_series
+    cfgp = tmp_path / "f.cfg"
+    cfgp.write_text(text)
+    mans = {}
+    for n in (1, 2):
+        assert cli.main(["run", str(cfgp), "--out", str(tmp_path / f"t{n}"),
+                         "--threads", str(n)]) == 0
+        mans[n] = json.loads((tmp_path / f"t{n}" / "run_manifest.json").read_text())
+        assert mans[n]["files"] == list(files)
+        assert mans[n]["threads"]["jobs"] == n
+    assert mans[1]["solves"] == mans[2]["solves"]
+    for name in files:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+    cfg = parse_config_text(text)
+    spec = cli._spec_for(cfg)
+    for name, (chi, boundary) in files.items():
+        ser = autocorrelator_series(spec, chi, cfg.get("cutoff", 0.0),
+                                    boundary=boundary)
+        rows = (tmp_path / "t2" / name).read_text().splitlines()[1:]
+        got = np.array([complex(float(r.split(",")[1]), float(r.split(",")[2]))
+                        for r in rows])
+        assert np.array_equal(got, ser.values)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failing_point_cancels_the_rest(tmp_path, monkeypatch, capsys, threads):
+    """A point that raises NumericalInstabilityError stops the run with exit
+    3; the points not yet started never run."""
+    from temporal_im import observables
+    from temporal_im.influence import NumericalInstabilityError
+
+    real_solve = observables.solve_im
+    calls = []
+
+    def solve(spec, **kwargs):
+        calls.append(spec.T)
+        if spec.T == 6:  # the largest point, scheduled first
+            raise NumericalInstabilityError("planted failure")
+        time.sleep(0.05)
+        return real_solve(spec, **kwargs)
+
+    monkeypatch.setattr(observables, "solve_im", solve)
+    cfgp = tmp_path / "f.cfg"
+    cfgp.write_text(FRESH_FLOQUET.replace("chi = 8,4", "chi = 4")
+                    .replace("boundary = open,perfect_dephaser", ""))
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfgp), "--out", str(out),
+                     "--threads", str(threads)]) == 3
+    assert "planted failure" in capsys.readouterr().err
+    # each other worker holds one point, and the failing worker may take
+    # one more before the calling thread cancels the queue
+    assert calls[0] == 6 and len(calls) <= 2 * threads - 1 < 6
+    assert not out.exists()
+
+
+def test_points_stress_more_workers_than_cores(tmp_path):
+    """Many small points on more workers than cores, with thread switches
+    forced often: every point is folded once, and the output is the serial
+    one."""
+    cfgp = tmp_path / "f.cfg"
+    cfgp.write_text(FRESH_FLOQUET)
+    assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "t1"),
+                     "--threads", "1"]) == 0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "t5"),
+                         "--threads", "5"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    serial, many = (json.loads((tmp_path / d / "run_manifest.json").read_text())
+                    for d in ("t1", "t5"))
+    assert many["threads"]["jobs"] == 5
+    assert many["solves"] == serial["solves"]
+    assert all(s["solves"] == 6 for s in many["solves"].values())
+    for name in serial["files"]:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t5" / name).read_bytes()

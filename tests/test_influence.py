@@ -260,3 +260,18 @@ def test_checkpoint_rejects_unknown_version():
     header, body = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
     with pytest.raises(ValueError, match="version 3"):
         load_checkpoint(io.BytesIO(_ckpt_blob(dict(header, version=3), body)))
+
+
+def test_checkpoint_malformed_header_is_value_error():
+    """A header without its keys, or a blob cut short, is a ValueError."""
+    empty = b"TIMC" + struct.pack("<I", 2) + b"{}"
+    with pytest.raises(ValueError, match="version"):
+        load_checkpoint(io.BytesIO(empty))
+    header, body = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
+    del header["cutoff"]
+    with pytest.raises(ValueError, match="cutoff"):
+        load_checkpoint(io.BytesIO(_ckpt_blob(header, body)))
+    blob = checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0))
+    for cut in (6, 8 + 10):  # inside the length field, inside the header
+        with pytest.raises(ValueError):
+            load_checkpoint(io.BytesIO(blob[:cut]))

@@ -1,9 +1,18 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
-                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, svd_truncate)
+                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, blas_threads,
+                                svd_truncate)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 rng = np.random.default_rng(7)
 
@@ -77,3 +86,73 @@ def test_svd_truncate_weight_accounting(n, m, chi, cutoff):
     err = np.linalg.norm(a - approx) ** 2
     assert np.isclose(err, f.discarded_weight, rtol=1e-8, atol=1e-12)
     assert len(f.s) <= chi
+
+
+def test_svd_fallback_to_gesvd(monkeypatch):
+    """When gesdd fails, gesvd gives the same factors, on one BLAS thread."""
+    m = crand(12, 7)
+    want = np.linalg.svd(m, full_matrices=False)
+    gesvd = scipy.linalg.svd
+    counts = []
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def watched_gesvd(*args, **kwargs):
+        counts.append(blas_threads())
+        return gesvd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", watched_gesvd)
+    f = svd_truncate(m, chi_max=7)
+    assert len(counts) == 1 and counts[0] and set(counts[0]) == {1}
+    assert np.allclose(f.s, want[1], atol=1e-12)
+    assert np.allclose(f.u * f.s @ f.vh, m, atol=1e-12)
+    # singular vectors agree up to a phase per column
+    phases = np.sum(want[0].conj() * f.u, axis=0)
+    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
+    assert np.allclose(f.u, want[0] * phases, atol=1e-12)
+    assert np.allclose(f.vh, want[2] * phases.conj()[:, None], atol=1e-12)
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on ``src/``."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC)).stdout
+
+
+_LAZY_PIN = """
+import json
+import numpy as np
+from temporal_im import tensor
+before = tensor.blas_threads()
+def failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+real_svd = np.linalg.svd
+np.linalg.svd = failing_svd
+with tensor.one_blas_thread():
+    tensor.svd_truncate(np.eye(3) + 0.5j, chi_max=3)
+    inside = tensor.blas_threads()
+np.linalg.svd = real_svd
+print(json.dumps([before, inside, tensor.blas_threads()]))
+"""
+
+
+def test_scipy_loaded_inside_pin_runs_one_thread():
+    """scipy's OpenBLAS, loaded by the fallback inside the pin, runs on one
+    thread there and gets its default back when the pin is left."""
+    out = _fresh_python(_LAZY_PIN)
+    before, inside, after = json.loads(out)
+    if not before:
+        pytest.skip("no OpenBLAS thread control found")
+    assert len(inside) == len(before) + 1  # scipy's own OpenBLAS joined
+    assert set(inside) == {1}
+    # numpy's count is restored, scipy's is back at its default, the same
+    assert sorted(after) == sorted(before + before[:1])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """``temporal-im run`` does not pay for importing scipy."""
+    out = _fresh_python("import sys, temporal_im.cli; print('scipy' in sys.modules)")
+    assert out.strip() == "False"
