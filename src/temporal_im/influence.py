@@ -187,6 +187,98 @@ class DisorderSliceMpo:
         return self.constraint.dense() @ self.weights.dense()
 
 
+# ------------------------------------------------------------- the real basis
+#
+# The circuit is unitary and rho0 Hermitian, so swapping the forward and
+# backward branches together with complex conjugation leaves every slice
+# tensor, and the IM, unchanged: I[sigma, sigmabar]* = I[sigmabar, sigma].
+# In a basis where that swap is conjugation they are real, and the power
+# iteration runs in float64.  The folded index and the bonds that carry one
+# swap as _BRANCH_SWAP; a constraint bond's charge b turns into -b, which
+# reverses its window.
+
+_BRANCH_SWAP = (0, 2, 1, 3)
+_REAL_RTOL = 1e-12
+
+
+class BranchSymmetryError(NumericalInstabilityError):
+    """A slice or state is not invariant under branch swap plus conjugation."""
+
+
+def _real_basis(perm) -> np.ndarray:
+    """Unitary V with V[perm] == V.conj(), for an involution ``perm``.
+
+    Fixed points stay unit vectors; a swapped pair (i, j) becomes
+    (|i> + |j>)/sqrt2 and i(|i> - |j>)/sqrt2.  A vector x with
+    x[perm] == x.conj() then has real coefficients V^dagger x.
+    """
+    n = len(perm)
+    V = np.zeros((n, n), dtype=complex)
+    r = np.sqrt(0.5)
+    for i, j in enumerate(perm):
+        if i == j:
+            V[i, i] = 1.0
+        elif i < j:
+            V[i, i] = V[j, i] = r
+            V[i, j], V[j, j] = 1j * r, -1j * r
+    return V
+
+
+def _folded_bond(n: int):
+    return _BRANCH_SWAP if n == 4 else range(n)
+
+
+def _charge_bond(n: int):
+    return range(n - 1, -1, -1)
+
+
+def _real(t: np.ndarray, what: str) -> np.ndarray:
+    """The real part of a rotated tensor whose imaginary part is round-off."""
+    scale = float(np.max(np.abs(t), initial=0.0))
+    bad = float(np.max(np.abs(t.imag), initial=0.0))
+    if bad > _REAL_RTOL * scale:
+        raise BranchSymmetryError(
+            f"{what} is not branch-swap symmetric: imaginary part {bad:.3g} "
+            f"in the real basis, largest entry {scale:.3g}")
+    return np.ascontiguousarray(t.real)
+
+
+def _real_mpo(op: TemporalMpo, bond_perm) -> TemporalMpo:
+    """``op`` in the real basis; ``bond_perm(n)`` is the swap on a bond of
+    extent n.  V^dagger goes on the output and left-bond legs, V on the
+    input and right-bond legs, so the MPO product is unchanged."""
+    V = _real_basis(_BRANCH_SWAP)
+    out = []
+    for k, W in enumerate(op.tensors):
+        L = _real_basis(bond_perm(W.shape[0]))
+        R = _real_basis(bond_perm(W.shape[3]))
+        for M in (L.conj(), V.conj(), V, R):  # each leg in turn, moved last
+            W = np.tensordot(W, M, axes=(0, 0))
+        out.append(_real(W, f"slice tensor {k}"))
+    return TemporalMpo(out)
+
+
+def _real_mps(psi: TemporalMps):
+    """``psi`` in the real basis and the global phase taken off its first
+    tensor, as (state, phase)."""
+    Vh = _real_basis(_BRANCH_SWAP).conj().T
+    tensors = [Vh @ A for A in psi.tensors]
+    big = tensors[0].flat[np.argmax(np.abs(tensors[0]))]
+    phase = big / abs(big) if big != 0 else 1.0
+    tensors[0] = tensors[0] / phase
+    return TemporalMps([_real(A, f"state tensor {k}") for k, A in enumerate(tensors)],
+                       psi.norm_log, psi.canonical_center), phase
+
+
+def _folded_mps(psi: TemporalMps, phase: complex) -> TemporalMps:
+    """Inverse of ``_real_mps``: back to the folded z basis, one 4x4 matmul
+    per site."""
+    V = _real_basis(_BRANCH_SWAP)
+    tensors = [V @ A for A in psi.tensors]
+    tensors[0] = tensors[0] * phase
+    return TemporalMps(tensors, psi.norm_log, psi.canonical_center)
+
+
 # ------------------------------------------------------------------ the solve
 
 @dataclass
@@ -277,19 +369,24 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     convergence after at most T iterations; drift above ``drift_limit``
     past that horizon means truncation has destabilized the iteration and
     raises.  ``cutoff=0`` keeps every nonzero Schmidt value up to chi_max
-    per bond (small ones matter near the continuous-time limit).
+    per bond (small ones matter near the continuous-time limit).  The
+    iteration runs in the real basis on float64; the returned IM is in the
+    folded z basis.  A slice without the branch-swap symmetry raises
+    ``BranchSymmetryError``.
     """
     T = spec.T
     if max_iters is None:
         max_iters = T + 2
     if spec.disorder is None:
-        op = build_transfer_slice(spec)
+        op = _real_mpo(build_transfer_slice(spec), _folded_bond)
         step = lambda p: apply_mpo_zipup(op, p, chi_max, cutoff)
     else:
         dis = build_disorder_slice(spec)
+        dis = DisorderSliceMpo(_real_mpo(dis.weights, _folded_bond),
+                               _real_mpo(dis.constraint, _charge_bond))
         step = lambda p: dis.apply(p, chi_max, cutoff)
 
-    psi = boundary_mps(boundary, T)
+    psi, phase = _real_mps(boundary_mps(boundary, T))
     diag: Dict[str, list] = {k: [] for k in
                              ("deficit", "drift", "entropy_profile", "entropy_max",
                               "entropy_halfcut", "max_bond", "discarded_weight")}
@@ -314,7 +411,8 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
         if deficit < tol:
             converged = True
             break
-    im = InfluenceMatrix(psi=psi, spec=spec, boundary=boundary, chi_max=chi_max,
+    im = InfluenceMatrix(psi=_folded_mps(psi, phase), spec=spec,
+                         boundary=boundary, chi_max=chi_max,
                          cutoff=cutoff, iterations_applied=iters,
                          converged=converged, eigenvalue_drift=drift,
                          diagnostics=diag)
@@ -335,16 +433,21 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     """
     if spec.impurity is None:
         raise ValueError("spec has no impurity")
-    op = build_transfer_slice(spec, bond_coupling=spec.impurity.beta * spec.J_eff)
-    before = _log_norm(base.psi)
-    r = apply_mpo_zipup(op, base.psi, chi_max, cutoff)
+    op = _real_mpo(build_transfer_slice(
+        spec, bond_coupling=spec.impurity.beta * spec.J_eff), _folded_bond)
+    # base.psi carries the phase _normalize_trace gave it: off for the real
+    # basis, back on after, so the sign the normalisation picks is unchanged
+    psi, phase = _real_mps(base.psi)
+    before = _log_norm(psi)
+    r = apply_mpo_zipup(op, psi, chi_max, cutoff)
     diag: Dict[str, list] = {
         "impurity_drift": [abs(_log_norm(r.psi) - before)],
         "discarded_weight": list(base.diagnostics.get("discarded_weight", []))
                             + [r.discarded_weight],
     }
     _record_entropies(diag, r.psi, r.entropies)
-    im = InfluenceMatrix(psi=r.psi, spec=spec, boundary=base.boundary,
+    im = InfluenceMatrix(psi=_folded_mps(r.psi, phase), spec=spec,
+                         boundary=base.boundary,
                          chi_max=chi_max, cutoff=cutoff,
                          iterations_applied=base.iterations_applied + 1,
                          converged=base.converged,

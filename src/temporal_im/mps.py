@@ -244,8 +244,9 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     norm_log = psi.norm_log
     discarded = 0.0
     out: List[np.ndarray] = []
-    # zipper carries (new bond, mpo bond, mps bond)
-    zipper = np.ones((1, 1, 1), dtype=complex)
+    # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
+    # sweep and its SVDs in float64
+    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
     for i in range(T):
         A = psi.tensors[i]
         W = op.tensors[i]

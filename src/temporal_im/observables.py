@@ -286,7 +286,7 @@ def _final_entropies(im: InfluenceMatrix):
 def _im_rows(im: InfluenceMatrix, n: int) -> Dict[str, list]:
     """``n`` extras rows, each describing ``im``."""
     half, smax = _final_entropies(im)
-    dw = float(np.sum(im.diagnostics.get("discarded_weight", [0.0])))
+    dw = math.fsum(im.diagnostics.get("discarded_weight", [0.0]))
     return {"entropy_halfcut": [half] * n, "entropy_max": [smax] * n,
             "discarded_weight": [dw] * n, "chi": [im.psi.max_bond()] * n}
 

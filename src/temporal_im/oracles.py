@@ -346,11 +346,11 @@ def _apply_kick_rows(M: np.ndarray, K: np.ndarray, L: int) -> np.ndarray:
     j = 0
     while j + 1 < L:
         M = M.reshape(2 ** j, 4, -1)
-        M = np.einsum("ab,ibk->iak", K2, M)
+        M = K2 @ M
         j += 2
     if j < L:
         M = M.reshape(2 ** j, 2, -1)
-        M = np.einsum("ab,ibk->iak", K, M)
+        M = K @ M
     return M.reshape(dim, cols) if cols > 1 else M.reshape(dim)
 
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -6,14 +7,19 @@ import struct
 import numpy as np
 import pytest
 
+from temporal_im import influence
 from temporal_im.models import Impurity, ModelSpec
-from temporal_im.influence import (BOUNDARY_KINDS, _log_norm, _overlap_deficit,
-                                   boundary_mps, build_disorder_slice,
-                                   build_transfer_slice, checkpoint_bytes,
-                                   impurity_im, load_checkpoint,
-                                   save_checkpoint, solve_im)
-from temporal_im.mps import (TemporalMps, apply_mpo_zipup, canonicalize,
-                             entropy_profile, mps_norm, overlap)
+from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
+                                   InfluenceMatrix, NumericalInstabilityError,
+                                   _BRANCH_SWAP, _charge_bond, _folded_bond,
+                                   _folded_mps, _log_norm, _normalize_trace,
+                                   _overlap_deficit, _real_basis, _real_mpo,
+                                   _real_mps, boundary_mps,
+                                   build_disorder_slice, build_transfer_slice,
+                                   checkpoint_bytes, impurity_im,
+                                   load_checkpoint, save_checkpoint, solve_im)
+from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
+                             canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
 
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
@@ -193,6 +199,148 @@ def test_disorder_solve_needs_no_bond_phase_refresh():
     # perfect pi pulse: half-cut entropy is the collective-spin value
     got = im.diagnostics["entropy_halfcut"][-1]
     assert np.isclose(got, oracles.dicke_entropy(8, 4), atol=1e-9)
+
+
+# ------------------------------------------------------------- real basis
+
+SPEC_DTC = ModelSpec(J=1.0, g=math.pi / 2 - 0.13, h=0.3, T=4,
+                     disorder="uniform_J_0_2pi")
+SPEC_QUENCH = ModelSpec(J=0.8, g=0.45, h=0.3, T=4, eps=0.1,
+                        initial_state="z_polarized_up")
+
+
+def test_real_basis_turns_the_swap_into_conjugation():
+    for perm in (_BRANCH_SWAP, (0,), (2, 1, 0), (4, 3, 2, 1, 0)):
+        V = _real_basis(perm)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(len(perm)))) < 1e-15
+        assert np.array_equal(V[list(perm)], V.conj())
+
+
+@pytest.mark.parametrize("mpo, bond", [
+    (build_transfer_slice(ModelSpec(J=0.5, g=0.7, h=0.1, T=1)), _folded_bond),
+    (build_transfer_slice(SPEC), _folded_bond),
+    (build_transfer_slice(ModelSpec(J=0.31, g=0.57, h=0.23, T=4)), _folded_bond),
+    (build_transfer_slice(SPEC, bond_coupling=0.6 * SPEC.J_eff), _folded_bond),
+    (build_transfer_slice(SPEC_QUENCH), _folded_bond),
+    (build_disorder_slice(SPEC_DTC).weights, _folded_bond),
+    (build_disorder_slice(SPEC_DTC).constraint, _charge_bond),
+], ids=["clean-T1", "clean-T3", "clean-T4", "impurity-bond", "quench-z-up",
+        "disorder-weights", "disorder-constraint"])
+def test_slices_are_real_in_the_real_basis(mpo, bond):
+    real = _real_mpo(mpo, bond)
+    assert all(W.dtype == np.float64 for W in real.tensors)
+    U = functools.reduce(np.kron, [_real_basis(_BRANCH_SWAP)] * mpo.T)
+    back = U @ real.dense() @ U.conj().T
+    assert np.max(np.abs(back - mpo.dense())) < 1e-14
+
+
+def test_asymmetric_slice_raises(monkeypatch):
+    good = build_transfer_slice(SPEC)
+    W = good.tensors[1].copy()
+    W[:, :, 1, :] *= 1.5  # weights (up, down) but not its mirror (down, up)
+    bad = TemporalMpo([good.tensors[0], W, good.tensors[2]])
+    with pytest.raises(BranchSymmetryError):
+        _real_mpo(bad, _folded_bond)
+    # the CLI reports it as numerical trouble, exit 3
+    assert issubclass(BranchSymmetryError, NumericalInstabilityError)
+    monkeypatch.setattr(influence, "build_transfer_slice", lambda spec: bad)
+    with pytest.raises(BranchSymmetryError):
+        solve_im(SPEC, chi_max=16)
+
+
+def test_solve_runs_in_float64(monkeypatch):
+    seen = []
+
+    def zipup(op, psi, chi_max, cutoff=0.0):
+        r = apply_mpo_zipup(op, psi, chi_max, cutoff)
+        seen.extend(t.dtype for t in op.tensors + psi.tensors + r.psi.tensors)
+        return r
+
+    monkeypatch.setattr(influence, "apply_mpo_zipup", zipup)
+    solve_im(SPEC_DTC, chi_max=16, cutoff=1e-12)
+    spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=3, impurity=Impurity(beta=0.6))
+    im = impurity_im(spec, solve_im(spec, chi_max=16, cutoff=1e-12), 16, 1e-12)
+    assert seen and set(seen) == {np.dtype(np.float64)}
+    assert im.psi.tensors[0].dtype == np.complex128  # public IM: folded z basis
+
+
+def test_state_rotation_round_trip_keeps_the_phase():
+    im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
+    psi = im.psi.copy()
+    psi.tensors[0] = psi.tensors[0] * np.exp(0.7j)
+    real, phase = _real_mps(psi)
+    assert all(t.dtype == np.float64 for t in real.tensors)
+    assert np.max(np.abs(_folded_mps(real, phase).dense() - psi.dense())) < 1e-14
+
+
+def _complex_path(spec, boundary="open", chi_max=64, cutoff=0.0, tol=1e-10):
+    """The power iteration on the folded z-basis slice, without the real
+    basis, normalised like the engine's IMs."""
+    if spec.disorder is None:
+        op = build_transfer_slice(spec)
+        step = lambda p: apply_mpo_zipup(op, p, chi_max, cutoff)
+    else:
+        dis = build_disorder_slice(spec)
+        step = lambda p: dis.apply(p, chi_max, cutoff)
+    psi = boundary_mps(boundary, spec.T)
+    for _ in range(spec.T + 2):
+        new = step(psi).psi
+        done = _overlap_deficit(new, psi) < tol
+        psi = new
+        if done:
+            break
+    im = InfluenceMatrix(psi, spec, boundary, chi_max, cutoff, 0, done, 0.0)
+    _normalize_trace(im)
+    return im
+
+
+@pytest.mark.parametrize("spec, boundary", [
+    (ModelSpec(J=0.31, g=0.57, h=0.23, T=5), "open"),
+    (ModelSpec(J=0.8, g=0.7236, h=0.6472, T=5), "perfect_dephaser"),
+    (ModelSpec(J=0.8, g=0.45, h=0.3, T=5, eps=0.1,
+               initial_state="z_polarized_up"), "open"),
+    (ModelSpec(J=1.0, g=math.pi / 2 - 0.13, h=0.3, T=5,
+               disorder="uniform_J_0_2pi"), "open"),
+], ids=["floquet", "floquet-pd", "quench-z-up", "dtc"])
+def test_real_solve_matches_complex_path(spec, boundary):
+    im = solve_im(spec, boundary, chi_max=256, cutoff=1e-12)
+    ref = _complex_path(spec, boundary, chi_max=256, cutoff=1e-12)
+    assert im.converged and ref.converged
+    assert np.max(np.abs(im.psi.dense() - ref.psi.dense())) < 1e-12
+
+
+def test_real_impurity_slice_matches_complex_path():
+    spec = ModelSpec(J=0.8, g=0.45, h=0.3, T=5, eps=0.1,
+                     impurity=Impurity(alpha=0.5, beta=0.6))
+    base = solve_im(spec, chi_max=256, cutoff=0.0)
+    op = build_transfer_slice(spec, bond_coupling=0.6 * spec.J_eff)
+    # the base's global phase survives the real basis; the trace
+    # normalisation fixes the result only up to sign (phases whose square
+    # is near -1 are left out: there the sign is round-off)
+    first = base.psi.tensors[0]
+    for phase in (1.0, np.exp(0.7j), -1.0, np.exp(2.5j), np.exp(-2.0j)):
+        base.psi.tensors[0] = first * phase
+        im = impurity_im(spec, base, chi_max=256, cutoff=0.0)
+        ref = InfluenceMatrix(apply_mpo_zipup(op, base.psi, 256).psi, spec,
+                              "open", 256, 0.0, 0, True, 0.0)
+        _normalize_trace(ref)
+        assert np.max(np.abs(im.psi.dense() - ref.psi.dense())) < 1e-12
+
+
+def _swap_defect(psi):
+    """1 - |<(S psi)*|psi>| / ||psi||^2, with S swapping the branches."""
+    mirror = TemporalMps([t[:, list(_BRANCH_SWAP), :].conj() for t in psi.tensors])
+    bare = TemporalMps(psi.tensors)
+    return 1.0 - abs(overlap(mirror, bare)) / abs(overlap(bare, bare))
+
+
+def test_capped_stalled_solve_is_swap_symmetric():
+    # chi-capped and stalled; the complex z-basis iteration kept a subspace
+    # without the symmetry here (defect 2.5e-4 on numpy 2.4 / OpenBLAS 0.3.31)
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=18)
+    im = solve_im(spec, chi_max=32, cutoff=1e-12)
+    assert not im.converged and im.psi.max_bond() == 32
+    assert abs(_swap_defect(im.psi)) < 1e-14
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -112,6 +112,20 @@ def test_zipup_matches_dense_application():
     assert np.allclose(res.psi.dense(), want, atol=1e-9 * np.linalg.norm(want))
 
 
+def test_zipup_stays_real_on_real_inputs():
+    # the influence solve runs in a real basis; a complex zipper would
+    # promote every SVD back to complex128
+    psi, op = random_mps(5, 3), random_mpo(5, 3)
+    psi = TemporalMps([t.real.copy() for t in psi.tensors])
+    op.tensors = [t.real.copy() for t in op.tensors]
+    res = apply_mpo_zipup(op, psi, chi_max=4, cutoff=1e-12)
+    assert all(t.dtype == np.float64 for t in res.psi.tensors)
+    exact = apply_mpo_zipup(op, psi, chi_max=256, cutoff=0.0)
+    want = op.dense() @ psi.dense()
+    assert exact.psi.tensors[0].dtype == np.float64
+    assert np.allclose(exact.psi.dense(), want, atol=1e-12 * np.linalg.norm(want))
+
+
 @pytest.mark.parametrize("chi_max, cutoff", [(5, 0.0), (10 ** 6, 1e-12)])
 def test_zipup_entropies_match_entropy_profile(chi_max, cutoff):
     # capped: the left-to-right sweep truncates to chi_max at every bond;
