@@ -16,7 +16,7 @@ from .observables import (Insertion, InsertionPlan, ResultSeries,
 from .oracles import (ResourceLimitError, binary_entropy_formula,
                       dicke_entropy, ed_chain_evolve,
                       ed_disorder_monte_carlo, g0_schmidt_entropy, im_g0)
-from .mps import TemporalMps, bond_entropy, entropy_profile, load_mps, save_mps
+from .mps import TemporalMps, entropy_profile, load_mps, save_mps
 
 __all__ = [
     "__version__",
@@ -30,5 +30,5 @@ __all__ = [
     "ResourceLimitError", "binary_entropy_formula", "dicke_entropy",
     "ed_chain_evolve", "ed_disorder_monte_carlo", "g0_schmidt_entropy",
     "im_g0",
-    "TemporalMps", "bond_entropy", "entropy_profile", "load_mps", "save_mps",
+    "TemporalMps", "entropy_profile", "load_mps", "save_mps",
 ]

@@ -27,12 +27,12 @@ import numpy as np
 
 from . import __version__
 from .models import Impurity, ModelSpec, trotter_steps, trotterize
-from .influence import NumericalInstabilityError
+from .influence import BOUNDARY_KINDS, NumericalInstabilityError
 from .oracles import ResourceLimitError
 from .tensor import one_blas_thread
 
 EXPERIMENTS = ("floquet-czz", "hamiltonian-impurity", "quench", "dtc",
-               "entropy-scan", "oracle-check")
+               "entropy-scan")
 
 CSV_COLUMNS = ("abscissa", "value_re", "value_im", "entropy_halfcut",
                "entropy_max", "discarded_weight", "chi", "eps", "boundary",
@@ -60,7 +60,7 @@ _KEYS = {
     "chi": "int_list", "eps_list": "float_list", "T_list": "int_list",
     "cutoff": float, "boundary": "str_list",
     "preserve_weak_bonds": "bool", "reuse_im": "bool",
-    "seed": int, "tmax": int, "out": str,
+    "seed": int, "out": str,
 }
 
 _REQUIRED = {
@@ -69,7 +69,6 @@ _REQUIRED = {
     "quench": ("J", "g", "h", "eps", "t_max", "chi"),
     "dtc": ("eps_kick", "h", "T_max", "chi"),
     "entropy-scan": ("chi",),
-    "oracle-check": (),
 }
 
 
@@ -149,23 +148,34 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "T_list" in raw and "eps_kick" not in raw and not all(
                 k in raw for k in ("J", "g", "h")):
             raise ConfigError("entropy-scan over T_list needs J, g, h or eps_kick")
-    if not raw.get("chi", [1]):
-        raise ConfigError("chi list is empty")
     _check_ranges(exp, raw)
     return ExperimentConfig(exp, raw)
 
 
 def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
-    """Reject counts below 1, a negative step and time grids that are not
-    whole steps."""
+    """Reject empty or repeated chi and boundary lists, unknown boundary
+    kinds, counts below 1, a negative step or cutoff and time grids that
+    are not whole steps."""
+    for key in ("chi", "boundary"):
+        vals = raw.get(key)
+        if vals is None:
+            continue
+        if not vals:
+            raise ConfigError(f"{key} list is empty")
+        if len(set(vals)) < len(vals):
+            raise ConfigError(f"{key} list {vals} repeats a value")
+    for kind in raw.get("boundary", ()):
+        if kind not in BOUNDARY_KINDS:
+            raise ConfigError(f"unknown boundary kind {kind!r}; "
+                              f"choose from {', '.join(BOUNDARY_KINDS)}")
     for key in ("chi", "T_list"):
         if any(v < 1 for v in raw.get(key, ())):
             raise ConfigError(f"every {key} value must be >= 1")
-    for key in ("T_max", "tmax"):
-        if raw.get(key, 1) < 1:
-            raise ConfigError(f"{key} must be >= 1")
-    if raw.get("eps", 0.0) < 0:
-        raise ConfigError("eps must be >= 0")
+    if raw.get("T_max", 1) < 1:
+        raise ConfigError("T_max must be >= 1")
+    for key in ("eps", "cutoff"):
+        if raw.get(key, 0.0) < 0:
+            raise ConfigError(f"{key} must be >= 0")
     grids = []
     if exp in ("quench", "hamiltonian-impurity"):
         grids = [("t_max", raw["t_max"], raw["eps"])]
@@ -369,11 +379,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
     caps the workers (see ``_thread_count``); with one worker the points run
     serially on the calling thread.
     """
-    if cfg.experiment == "oracle-check":
-        rc = oracle_check(cfg.get("tmax", 4))
-        if rc != 0:
-            raise NumericalInstabilityError("oracle cross-checks failed")
-        return [], 1, {}
     plans = _series_plans(cfg)
     workers = _thread_count(threads, sum(len(p.points) for _, p in plans))
     rows, summaries = _run_points(plans, workers)
@@ -477,14 +482,8 @@ def _usable_cores() -> int:
 
 
 def _thread_count(arg: Optional[int], n_points: int) -> int:
-    """Workers: ``--threads``, else ``TEMPORAL_IM_THREADS``, else the usable
-    cores; never more than the solve points, never fewer than one."""
-    if arg is None:
-        env = os.environ.get("TEMPORAL_IM_THREADS", "")
-        try:
-            arg = int(env) if env else None
-        except ValueError:
-            arg = None
+    """Workers: ``--threads``, else the usable cores; never more than the
+    solve points, never fewer than one."""
     if arg is None:
         arg = _usable_cores()
     return max(1, min(arg, n_points))
@@ -500,9 +499,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="output directory (default: the config's out, else .)")
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--threads", type=int, default=None,
-                        help="solve points run at once (default: "
-                             "TEMPORAL_IM_THREADS, else the usable cores; "
-                             "at most the points)")
+                        help="solve points run at once (default: the "
+                             "usable cores; at most the points)")
     sub.add_parser("run", parents=[common], help="run an experiment config")
     p_orc = sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     p_orc.add_argument("--tmax", type=int, default=4)
@@ -524,8 +522,6 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
             raise ConfigError("entropy subcommand needs experiment = entropy-scan")
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         seed = args.seed if args.seed is not None else cfg.get("seed")
-        if cfg.experiment == "dtc" and seed is None:
-            raise ConfigError("dtc runs require a seed")
         t0 = time.monotonic()
         files, workers, solves = run_experiment(cfg, out_dir, seed, args.threads)
         write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,

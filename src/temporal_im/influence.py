@@ -16,7 +16,6 @@ the probed site.
 """
 from __future__ import annotations
 
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -167,13 +166,6 @@ class DisorderSliceMpo:
     weights: TemporalMpo
     constraint: TemporalMpo
 
-    @property
-    def T(self) -> int:
-        return self.weights.T
-
-    def max_constraint_bond(self) -> int:
-        return max(t.shape[0] for t in self.constraint.tensors)
-
     def apply(self, psi: TemporalMps, chi_max: int,
               cutoff: float = 0.0) -> ZipupResult:
         """Both zip-ups; the entropies are the constraint zip-up's, those of
@@ -279,6 +271,33 @@ def _folded_mps(psi: TemporalMps, phase: complex) -> TemporalMps:
     return TemporalMps(tensors, psi.norm_log, psi.canonical_center)
 
 
+@dataclass
+class _SliceMpo:
+    """A clean or impurity-scaled slice: one zip-up per step."""
+    op: TemporalMpo
+
+    def apply(self, psi: TemporalMps, chi_max: int,
+              cutoff: float = 0.0) -> ZipupResult:
+        return apply_mpo_zipup(self.op, psi, chi_max, cutoff)
+
+
+def _real_slice(spec: ModelSpec, bond_coupling: Optional[float] = None
+                ) -> Union[_SliceMpo, DisorderSliceMpo]:
+    """The spec's dual slice in the real basis, as an object whose
+    ``apply(psi, chi_max, cutoff)`` is one power-iteration step: the
+    exactly coupling-averaged pair for a disordered spec, else the transfer
+    MPO, its subsystem-facing bond at ``bond_coupling`` when given."""
+    if spec.disorder is None:
+        return _SliceMpo(_real_mpo(build_transfer_slice(spec, bond_coupling),
+                                   _folded_bond))
+    if bond_coupling is not None:
+        raise ValueError("a disorder-averaged slice has no single bond "
+                         "coupling to scale")
+    dis = build_disorder_slice(spec)
+    return DisorderSliceMpo(_real_mpo(dis.weights, _folded_bond),
+                            _real_mpo(dis.constraint, _charge_bond))
+
+
 # ------------------------------------------------------------------ the solve
 
 @dataclass
@@ -377,15 +396,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     T = spec.T
     if max_iters is None:
         max_iters = T + 2
-    if spec.disorder is None:
-        op = _real_mpo(build_transfer_slice(spec), _folded_bond)
-        step = lambda p: apply_mpo_zipup(op, p, chi_max, cutoff)
-    else:
-        dis = build_disorder_slice(spec)
-        dis = DisorderSliceMpo(_real_mpo(dis.weights, _folded_bond),
-                               _real_mpo(dis.constraint, _charge_bond))
-        step = lambda p: dis.apply(p, chi_max, cutoff)
-
+    step = _real_slice(spec)
     psi, phase = _real_mps(boundary_mps(boundary, T))
     diag: Dict[str, list] = {k: [] for k in
                              ("deficit", "drift", "entropy_profile", "entropy_max",
@@ -395,7 +406,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     converged = False
     iters = 0
     for it in range(1, max_iters + 1):
-        r = step(psi)
+        r = step.apply(psi, chi_max, cutoff)
         new = r.psi
         log_norm = _log_norm(new)
         drift = abs(log_norm - prev_log)
@@ -429,17 +440,17 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     decouples the environment (flat IM), beta = 1 reproduces the
     homogeneous IM at the exact fixed point.  The diagnostics hold the
     entropies and bond size of the new IM, and the discarded weight of the
-    base solve's iterations followed by the slice's.
+    base solve's iterations followed by the slice's.  A disorder-averaged
+    spec has no single bond to scale and raises ``ValueError``.
     """
     if spec.impurity is None:
         raise ValueError("spec has no impurity")
-    op = _real_mpo(build_transfer_slice(
-        spec, bond_coupling=spec.impurity.beta * spec.J_eff), _folded_bond)
+    step = _real_slice(spec, spec.impurity.beta * spec.J_eff)
     # base.psi carries the phase _normalize_trace gave it: off for the real
     # basis, back on after, so the sign the normalisation picks is unchanged
     psi, phase = _real_mps(base.psi)
     before = _log_norm(psi)
-    r = apply_mpo_zipup(op, psi, chi_max, cutoff)
+    r = step.apply(psi, chi_max, cutoff)
     diag: Dict[str, list] = {
         "impurity_drift": [abs(_log_norm(r.psi) - before)],
         "discarded_weight": list(base.diagnostics.get("discarded_weight", []))
@@ -522,9 +533,3 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
                                eigenvalue_drift=header["eigenvalue_drift"])
     except (KeyError, TypeError, struct.error) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from exc
-
-
-def checkpoint_bytes(im: InfluenceMatrix) -> bytes:
-    buf = io.BytesIO()
-    save_checkpoint(im, buf)
-    return buf.getvalue()

@@ -11,9 +11,8 @@ the eigenvalue drift of the power iteration observable.
 """
 from __future__ import annotations
 
-import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Union
 
 import numpy as np
@@ -41,10 +40,6 @@ class TemporalMps:
     def max_bond(self) -> int:
         dims = self.bond_dims()
         return max(dims) if dims else 1
-
-    def copy(self) -> "TemporalMps":
-        return TemporalMps([t.copy() for t in self.tensors], self.norm_log,
-                           self.canonical_center)
 
     def dense(self) -> np.ndarray:
         """Full 4^T amplitude vector.  Small T only."""
@@ -79,34 +74,6 @@ class TemporalMpo:
 def product_mps(site_vectors: List[np.ndarray], norm_log: float = 0.0) -> TemporalMps:
     tensors = [np.asarray(v, dtype=complex).reshape(1, 4, 1) for v in site_vectors]
     return TemporalMps(tensors, norm_log=norm_log, canonical_center=None)
-
-
-def mps_from_dense(v: np.ndarray, T: int, chi_max: int = 10 ** 9,
-                   cutoff: float = 0.0) -> TemporalMps:
-    """Exact (or truncated) MPS factorization of a dense 4^T vector."""
-    v = np.asarray(v, dtype=complex)
-    if v.size != 4 ** T:
-        raise ValueError(f"vector of size {v.size} is not 4^{T}")
-    tensors = []
-    norm_log = 0.0
-    rest = v.reshape(1, -1)
-    for i in range(T - 1):
-        chi_l = rest.shape[0]
-        theta = rest.reshape(chi_l * 4, -1)
-        u, s, vh, _ = svd_truncate(theta, chi_max, cutoff)
-        tensors.append(u.reshape(chi_l, 4, -1))
-        sn = float(np.linalg.norm(s))
-        if sn > 0:
-            norm_log += np.log(sn)
-            s = s / sn
-        rest = (s[:, None] * vh)
-    tensors.append(rest.reshape(-1, 4, 1))
-    return TemporalMps(tensors, norm_log=norm_log, canonical_center=T - 1)
-
-
-def identity_mpo(T: int) -> TemporalMpo:
-    eye = np.eye(4, dtype=complex).reshape(1, 4, 4, 1)
-    return TemporalMpo([eye.copy() for _ in range(T)])
 
 
 def canonicalize(psi: TemporalMps, center: int) -> TemporalMps:
@@ -153,36 +120,15 @@ def mps_norm(psi: TemporalMps) -> float:
     return float(np.sqrt(abs(overlap(psi, psi))))
 
 
-@dataclass
-class BondSpectrum:
-    bond: int
-    schmidt_values: np.ndarray  # normalized, squares sum to 1
-    entropy: float              # von Neumann, natural log
-
-    @staticmethod
-    def from_singular_values(bond: int, s: np.ndarray) -> "BondSpectrum":
-        s = np.asarray(s, dtype=float)
-        nrm = np.linalg.norm(s)
-        lam = s / nrm if nrm > 0 else s
-        w = lam ** 2
-        w = w[w > 1e-300]
-        ent = float(-np.sum(w * np.log(w)))
-        return BondSpectrum(bond, lam, ent)
-
-
-def bond_entropy(psi: TemporalMps, bond: int) -> BondSpectrum:
-    """Schmidt spectrum across ``bond`` (cut between sites bond-1 and bond).
-
-    Valid bonds are 1..T-1; the half cut is bond = T//2.  The state is
-    normalized before the spectrum is taken.
-    """
-    T = psi.T
-    if not 1 <= bond <= T - 1:
-        raise ValueError(f"bond {bond} outside 1..{T - 1}")
-    c = canonicalize(psi, bond)
-    chi_l, _, chi_r = c.tensors[bond].shape
-    s = np.linalg.svd(c.tensors[bond].reshape(chi_l, 4 * chi_r), compute_uv=False)
-    return BondSpectrum.from_singular_values(bond, s)
+def _schmidt_entropy(s: np.ndarray) -> float:
+    """Von Neumann entropy (natural log) of singular values ``s``, taken
+    after normalising them so their squares sum to 1."""
+    s = np.asarray(s, dtype=float)
+    nrm = np.linalg.norm(s)
+    lam = s / nrm if nrm > 0 else s
+    w = lam ** 2
+    w = w[w > 1e-300]
+    return float(-np.sum(w * np.log(w)))
 
 
 def entropy_profile(psi: TemporalMps) -> List[float]:
@@ -197,7 +143,7 @@ def entropy_profile(psi: TemporalMps) -> List[float]:
     for i in range(T - 1):
         chi_l, _, chi_r = carry.shape
         u, s, vh = np.linalg.svd(carry.reshape(chi_l * 4, chi_r), full_matrices=False)
-        out.append(BondSpectrum.from_singular_values(i + 1, s).entropy)
+        out.append(_schmidt_entropy(s))
         sn = np.linalg.norm(s)
         nxt = np.tensordot((s / sn)[:, None] * vh, tensors[i + 1], axes=(1, 0))
         carry = nxt
@@ -271,7 +217,7 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         chi_l, _, chi_r = out[i].shape
         u, s, vh, frac = _truncate_event(out[i].reshape(chi_l, 4 * chi_r), chi_max, cutoff)
         discarded += frac
-        entropies[i - 1] = BondSpectrum.from_singular_values(i, s).entropy
+        entropies[i - 1] = _schmidt_entropy(s)
         out[i] = vh.reshape(-1, 4, chi_r)
         sn = float(np.linalg.norm(s))
         if sn > 0:
@@ -320,9 +266,3 @@ def load_mps(src: Union[str, BinaryIO]) -> TemporalMps:
         tensors.append(np.frombuffer(buf, dtype="<c16").reshape(shp).copy())
     return TemporalMps(tensors, norm_log=norm_log,
                        canonical_center=None if cc < 0 else cc)
-
-
-def mps_to_bytes(psi: TemporalMps) -> bytes:
-    buf = io.BytesIO()
-    save_mps(psi, buf)
-    return buf.getvalue()

@@ -100,7 +100,7 @@ def _insertion_superop(e: Insertion) -> np.ndarray:
 
 def _final_matrix(entries: Sequence[Insertion], T: int) -> np.ndarray:
     M = ID2.copy()
-    for e in entries:
+    for e in reversed(entries):  # Tr(M rho): the last one acts last, outermost
         if e.time != T:
             continue
         O = _op_matrix(e.op)

@@ -292,7 +292,7 @@ def dense_kernel_contract(im_left: np.ndarray, im_right: np.ndarray,
         else:
             links.append(sup @ S)
     Mfin = ID2.copy()
-    for e in entries:
+    for e in reversed(entries):  # Tr(M rho): the last one acts last, outermost
         if e.time == T:
             O = _op_matrix(e.op)
             if e.branch == "forward":

@@ -13,12 +13,14 @@ import pytest
 
 from temporal_im.models import Impurity, ModelSpec, floquet_kernel, trotterize
 from temporal_im.influence import (boundary_mps, build_transfer_slice,
-                                   checkpoint_bytes, solve_im)
+                                   solve_im)
 from temporal_im.mps import apply_mpo_zipup
 from temporal_im.observables import (autocorrelator_series, entropy_series,
                                      quench_magnetization_series,
                                      temporal_contract)
 from temporal_im import oracles
+
+from helpers import checkpoint_bytes
 
 FIG2 = dict(J=0.8, g=0.7236, h=0.6472)
 

@@ -122,15 +122,41 @@ def test_run_rejects_bad_values(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
-def test_run_config_error_exit_code(tmp_path):
+BAD_CONFIGS = [
+    ("experiment = quench\nJ = one\n", "bad value for 'J'"),
+    (TINY_QUENCH + "boundary = open,reflecting\n", "unknown boundary kind 'reflecting'"),
+    (TINY_QUENCH.replace("chi = 8,4", "chi = 8,4,8"), "chi list"),
+    (TINY_QUENCH + "boundary = open,perfect_dephaser,open\n", "boundary list"),
+    (TINY_QUENCH + "boundary = \n", "boundary list is empty"),
+    (TINY_QUENCH.replace("cutoff = 1e-12", "cutoff = -1e-12"), "cutoff must be >= 0"),
+    # the battery is the oracle-check subcommand, not an experiment
+    ("experiment = oracle-check\n", "unknown experiment 'oracle-check'"),
+]
+
+
+def test_run_config_error_exit_code(tmp_path, capsys):
+    """Bad config values stop the run at parse time: exit 2, nothing written."""
     cfgp = tmp_path / "bad.cfg"
-    cfgp.write_text("experiment = quench\nJ = one\n")
-    assert cli.main(["run", str(cfgp)]) == 2
-    cfgp.write_text("experiment = dtc\neps_kick = 0.1\nh = 0.3\nT_max = 2\nchi = 8\n")
-    # dtc without a seed anywhere must refuse to run
-    assert cli.main(["run", str(cfgp)]) == 2
+    out = tmp_path / "o"
+    for text, message in BAD_CONFIGS:
+        cfgp.write_text(text)
+        assert cli.main(["run", str(cfgp), "--out", str(out)]) == 2, message
+        assert message in capsys.readouterr().err
+        assert not out.exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
     assert cli.main(["oracle-check", "--tmax", "0"]) == 2
+
+
+def test_dtc_runs_without_a_seed(tmp_path):
+    """The exact disorder average draws nothing; without a seed the seed
+    column reads nan, as for every other experiment."""
+    cfgp = tmp_path / "d.cfg"
+    cfgp.write_text("experiment = dtc\neps_kick = 0.1\nh = 0.3\nT_max = 2\nchi = 8\n")
+    out = tmp_path / "o"
+    assert cli.main(["run", str(cfgp), "--out", str(out)]) == 0
+    rows = (out / "dtc_chi8.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(r.split(",")[9] == "nan" for r in rows)
+    assert json.loads((out / "run_manifest.json").read_text())["seed"] is None
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -313,14 +339,14 @@ def test_quench_boundaries(tmp_path):
 
 
 def test_thread_count_default(monkeypatch):
-    monkeypatch.delenv("TEMPORAL_IM_THREADS", raising=False)
     cores = cli._usable_cores()
     assert cli._thread_count(None, 1) == 1
     assert cli._thread_count(None, 10 ** 6) == cores
     assert cli._thread_count(3, 2) == 2
     assert cli._thread_count(0, 2) == 1
+    # --threads is the one way to set the workers; the environment is not read
     monkeypatch.setenv("TEMPORAL_IM_THREADS", "1")
-    assert cli._thread_count(None, 4) == 1
+    assert cli._thread_count(None, 10 ** 6) == cores
     assert cli._thread_count(2, 4) == 2
 
 

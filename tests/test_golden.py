@@ -19,7 +19,6 @@ and quotes the per-column maxima this test prints on failure.
 import json
 import math
 import os
-import sys
 
 import pytest
 
@@ -65,9 +64,10 @@ def _read_csv(path: str):
 
 
 def _value_gap(a: str, b: str) -> float:
+    """|a - b|; 0 when both are nan, infinite when only one is."""
     x, y = float(a), float(b)
-    if math.isnan(x) and math.isnan(y):
-        return 0.0
+    if math.isnan(x) or math.isnan(y):
+        return 0.0 if math.isnan(x) and math.isnan(y) else math.inf
     return abs(x - y)
 
 
@@ -121,4 +121,3 @@ def regenerate() -> None:
 
 if __name__ == "__main__":
     regenerate()
-    sys.exit(0)

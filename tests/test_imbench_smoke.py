@@ -2,7 +2,8 @@
 
 ``imbench/tracing.py`` wraps engine functions by module attribute, so a
 rename in ``src/`` breaks the traced benchmark without failing any unit
-test.  One short traced series of the DTC workload catches that.
+test, and a refactor that calls around a wrapped name leaves its layer
+reading 0.  One short traced series of the DTC workload catches both.
 """
 import json
 import os
@@ -20,4 +21,10 @@ def test_traced_benchmark_run():
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["observables.temporal_contract.calls"]["value"] >= 1
+    metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    # every layer the tracer wraps on this path saw the run: a refactor that
+    # routes around a wrapper reads 0 here
+    for name in ("observables.temporal_contract.calls",
+                 "mps.apply_mpo_zipup.calls", "tensor.svd_truncate.calls",
+                 "influence.disorder_apply.s"):
+        assert metrics[name] > 0, name

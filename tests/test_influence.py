@@ -14,13 +14,15 @@ from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
                                    _BRANCH_SWAP, _charge_bond, _folded_bond,
                                    _folded_mps, _log_norm, _normalize_trace,
                                    _overlap_deficit, _real_basis, _real_mpo,
-                                   _real_mps, boundary_mps,
+                                   _real_mps, _real_slice, boundary_mps,
                                    build_disorder_slice, build_transfer_slice,
-                                   checkpoint_bytes, impurity_im,
-                                   load_checkpoint, save_checkpoint, solve_im)
+                                   impurity_im, load_checkpoint,
+                                   save_checkpoint, solve_im)
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
+
+from helpers import checkpoint_bytes
 
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
 SPEC_TROT = ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1)
@@ -112,8 +114,8 @@ def _states(T=8):
     b = boundary_mps("open", T)
     z1 = apply_mpo_zipup(op, b, chi_max=8, cutoff=1e-12).psi
     z2 = apply_mpo_zipup(op, z1, chi_max=8, cutoff=1e-12).psi
-    z3 = z2.copy()
-    z3.tensors[0] = 2.5 * z3.tensors[0]
+    z3 = TemporalMps([2.5 * z2.tensors[0]] + z2.tensors[1:], z2.norm_log,
+                     z2.canonical_center)
     mid = canonicalize(z2, 3)
     mid.tensors[3] = 0.4j * mid.tensors[3]
     return b, z1, z2, z3, mid
@@ -185,10 +187,9 @@ def test_disorder_slice_mpo_matches_dense_average():
 def test_disorder_constraint_bond_is_bounded():
     spec = ModelSpec(J=1.0, g=1.2, h=0.3, T=6, disorder="uniform_J_0_2pi")
     sl = build_disorder_slice(spec)
-    assert sl.max_constraint_bond() <= spec.T + 1
     # charge windows taper near the edges instead of staying rectangular
     mids = [t.shape[0] for t in sl.constraint.tensors]
-    assert mids[0] == 1 and max(mids) == sl.max_constraint_bond()
+    assert mids[0] == 1 and max(mids) <= spec.T + 1
 
 
 def test_disorder_solve_needs_no_bond_phase_refresh():
@@ -243,7 +244,7 @@ def test_asymmetric_slice_raises(monkeypatch):
         _real_mpo(bad, _folded_bond)
     # the CLI reports it as numerical trouble, exit 3
     assert issubclass(BranchSymmetryError, NumericalInstabilityError)
-    monkeypatch.setattr(influence, "build_transfer_slice", lambda spec: bad)
+    monkeypatch.setattr(influence, "build_transfer_slice", lambda spec, *_: bad)
     with pytest.raises(BranchSymmetryError):
         solve_im(SPEC, chi_max=16)
 
@@ -266,8 +267,8 @@ def test_solve_runs_in_float64(monkeypatch):
 
 def test_state_rotation_round_trip_keeps_the_phase():
     im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
-    psi = im.psi.copy()
-    psi.tensors[0] = psi.tensors[0] * np.exp(0.7j)
+    psi = TemporalMps([im.psi.tensors[0] * np.exp(0.7j)] + im.psi.tensors[1:],
+                      im.psi.norm_log, im.psi.canonical_center)
     real, phase = _real_mps(psi)
     assert all(t.dtype == np.float64 for t in real.tensors)
     assert np.max(np.abs(_folded_mps(real, phase).dense() - psi.dense())) < 1e-14
@@ -423,3 +424,31 @@ def test_checkpoint_malformed_header_is_value_error():
     for cut in (6, 8 + 10):  # inside the length field, inside the header
         with pytest.raises(ValueError):
             load_checkpoint(io.BytesIO(blob[:cut]))
+
+
+@pytest.mark.parametrize("spec,coupling", [
+    (SPEC, None), (SPEC, 0.6 * SPEC.J_eff), (SPEC_TROT, None), (SPEC_DTC, None)],
+    ids=["clean", "impurity_bond", "trotter", "disorder"])
+def test_real_slice_step_is_the_slice(spec, coupling):
+    """Every kind of slice is one ``apply`` step in the real basis; rotated
+    back, it is the z-basis slice times the state."""
+    b = boundary_mps("open", spec.T)
+    psi, phase = _real_mps(b)
+    r = _real_slice(spec, coupling).apply(psi, 4 ** spec.T, 0.0)
+    sl = (build_disorder_slice(spec) if spec.disorder
+          else build_transfer_slice(spec, coupling))
+    want = sl.dense() @ b.dense()
+    got = _folded_mps(r.psi, phase).dense()
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    assert r.discarded_weight < 1e-24
+
+
+def test_impurity_on_a_disorder_average_raises():
+    """An exactly averaged IM has no single bond coupling to scale."""
+    spec = ModelSpec(J=1.0, g=math.pi / 2 - 0.1, h=0.3, T=4,
+                     disorder="uniform_J_0_2pi", impurity=Impurity(0.5, 0.8))
+    base = solve_im(spec, chi_max=16, cutoff=1e-12)
+    with pytest.raises(ValueError, match="disorder"):
+        impurity_im(spec, base, 16, 1e-12)
+    with pytest.raises(ValueError, match="disorder"):
+        _real_slice(spec, 0.8)

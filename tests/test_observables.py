@@ -172,3 +172,33 @@ def test_contract_random_plan_against_dense(t1, t2, branch):
     want = oracles.dense_kernel_contract(im.psi.dense(), im.psi.dense(),
                                          SPEC, plan)
     assert np.isclose(got, want, atol=1e-10)
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+PHASE_S = np.diag([1.0, 1j])
+PROJ_UP = np.diag([1.0, 0.0])
+
+
+@pytest.mark.parametrize("spec", [SPEC, trotterize(0.8, 0.45, 0.3, 0.3, 0.1)],
+                         ids=["floquet", "trotter"])
+@pytest.mark.parametrize("branch,ops", [
+    ("forward", (HADAMARD, PHASE_S)), ("backward", (HADAMARD, PHASE_S)),
+    ("both", (PROJ_UP, HADAMARD))])
+def test_insertions_at_final_time_compose_in_list_order(spec, branch, ops):
+    """Two insertions at time T on one branch act in list order, as in the
+    chain ED; the reversed order gives a different value."""
+    T = spec.T
+    im = _im(spec, chi=64)
+
+    def plan(first, second):
+        return InsertionPlan((Insertion(0, "forward", SZ),
+                              Insertion(T, branch, first),
+                              Insertion(T, branch, second)))
+    want = oracles.ed_chain_evolve(spec, 2 * T + 1, plan(*ops)).values[0]
+    swapped = oracles.ed_chain_evolve(spec, 2 * T + 1, plan(*ops[::-1])).values[0]
+    assert abs(want - swapped) > 1e-3
+    got = temporal_contract(im, floquet_kernel(spec), plan(*ops))
+    dense = oracles.dense_kernel_contract(im.psi.dense(), im.psi.dense(), spec,
+                                          plan(*ops))
+    assert abs(got - want) < 1e-10
+    assert abs(dense - want) < 1e-10
