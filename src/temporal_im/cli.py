@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -153,10 +154,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
-    """Reject empty or repeated chi and boundary lists, unknown boundary
-    kinds, counts below 1, a negative step or cutoff and time grids that
-    are not whole steps."""
-    for key in ("chi", "boundary"):
+    """Reject empty or repeated lists, unknown boundary kinds, counts below
+    1, a negative step or cutoff and time grids that are not whole steps."""
+    for key in ("chi", "boundary", "T_list", "eps_list"):
         vals = raw.get(key)
         if vals is None:
             continue
@@ -199,6 +199,24 @@ def load_config(path: str) -> ExperimentConfig:
 
 # -------------------------------------------------------------- CSV emission
 
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[TextIO]:
+    """A text file that appears at ``path`` only when the block completes:
+    written to a temporary file beside it, then renamed.  On failure the
+    temporary file is removed and ``path`` is untouched."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="\n") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _g17(x) -> str:
     return "%.17g" % float(x)
 
@@ -223,18 +241,8 @@ def write_series_csv(path: str, series, chi: int, eps: float, boundary: str,
                _g17(halfs[i]), _g17(maxs[i]), _g17(dws[i]),
                str(int(chi)), _g17(eps), boundary, seed_txt)
         lines.append(",".join(row))
-    payload = "\n".join(lines) + "\n"
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_write(path) as f:
+        f.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- experiments
@@ -407,12 +415,9 @@ def write_manifest(out_dir: str, cfg: ExperimentConfig, seed: Optional[int],
            "experiment": cfg.experiment, "files": [os.path.basename(f) for f in files],
            "seed": seed, "solves": solves, "threads": threads,
            "wall_time_s": wall}
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    with os.fdopen(fd, "w") as f:
+    with _atomic_write(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
-    os.replace(tmp, path)
     return path
 
 
@@ -424,17 +429,17 @@ def _check(name: str, got: float, tol: float, report: list) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: err={got:.3e} tol={tol:.0e}")
 
 
-def oracle_check(tmax: int = 4) -> int:
-    """Dense-vs-MPS cross-check battery; 0 when everything agrees."""
+def oracle_check() -> int:
+    """Dense-vs-MPS cross-check battery at T = 4 (T = 5 for the g = 0
+    closed form); 0 when everything agrees."""
     from .influence import build_disorder_slice, build_transfer_slice, solve_im
     from .observables import autocorrelator_series, temporal_contract
     from .models import floquet_kernel
     from . import oracles
 
     report: list = []
-    spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=min(tmax, 4))
-    spec2 = ModelSpec(J=0.8, g=0.45, h=0.3, T=min(tmax, 4), eps=0.1,
-                      trotter_order=2)
+    spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=4)
+    spec2 = ModelSpec(J=0.8, g=0.45, h=0.3, T=4, eps=0.1, trotter_order=2)
     for s, tag in ((spec, "floquet"), (spec2, "trotter")):
         dense = oracles.dense_transfer_slice(s)
         mpo = build_transfer_slice(s).dense()
@@ -464,7 +469,7 @@ def oracle_check(tmax: int = 4) -> int:
     _check("disorder slice: MPO vs dense",
            float(np.max(np.abs(build_disorder_slice(dspec).dense() - davg))),
            1e-12, report)
-    g0 = ModelSpec(J=0.47, g=0.0, h=0.29, T=min(tmax, 5))
+    g0 = ModelSpec(J=0.47, g=0.0, h=0.29, T=5)
     im = solve_im(g0, chi_max=64, cutoff=0.0)
     ref = oracles.im_g0(g0.J, g0.T).amplitudes
     _check("g=0 IM vs closed form",
@@ -493,19 +498,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="temporal-im",
                                      description="influence-matrix engine")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("config")
-    common.add_argument("--out", default=None,
-                        help="output directory (default: the config's out, else .)")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None,
-                        help="solve points run at once (default: the "
-                             "usable cores; at most the points)")
-    sub.add_parser("run", parents=[common], help="run an experiment config")
-    p_orc = sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
-    p_orc.add_argument("--tmax", type=int, default=4)
-    sub.add_parser("entropy", parents=[common],
-                   help="run, for entropy-scan configs only")
+    p_run = sub.add_parser("run", help="run an experiment config")
+    p_run.add_argument("config")
+    p_run.add_argument("--out", default=None,
+                       help="output directory (default: the config's out, else .)")
+    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="solve points run at once (default: the "
+                            "usable cores; at most the points)")
+    sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     args = parser.parse_args(argv)
     with one_blas_thread() as blas:
         return _dispatch(args, blas)
@@ -514,12 +515,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
     try:
         if args.command == "oracle-check":
-            if args.tmax < 1:
-                raise ConfigError("--tmax must be >= 1")
-            return EXIT_UNSTABLE if oracle_check(args.tmax) else 0
+            return EXIT_UNSTABLE if oracle_check() else 0
         cfg = load_config(args.config)
-        if args.command == "entropy" and cfg.experiment != "entropy-scan":
-            raise ConfigError("entropy subcommand needs experiment = entropy-scan")
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
         seed = args.seed if args.seed is not None else cfg.get("seed")
         t0 = time.monotonic()

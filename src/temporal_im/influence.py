@@ -37,6 +37,9 @@ _CKPT_VERSION = 2
 _CKPT_READABLE = (1, 2)  # v1 headers also carry a "side" label, ignored
 
 _TRACE_MASK = (FOLDED_FWD == FOLDED_BWD).astype(complex)  # [1,0,0,1]
+# bond charge sigma_x sigma_y - sigmabar_x sigmabar_y, in {-2, 0, 2}
+_BOND_CHARGE = (np.outer(FOLDED_SIGMA, FOLDED_SIGMA)
+                - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR))
 
 
 class NumericalInstabilityError(RuntimeError):
@@ -56,9 +59,7 @@ def boundary_mps(kind: str, T: int) -> TemporalMps:
 
 def bond_phase_matrix(bond_coupling: float) -> np.ndarray:
     """P[x, y] = exp(-i Jb (sigma_x sigma_y - sigmabar_x sigmabar_y))."""
-    return np.exp(-1j * bond_coupling
-                  * (np.outer(FOLDED_SIGMA, FOLDED_SIGMA)
-                     - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR)))
+    return np.exp(-1j * bond_coupling * _BOND_CHARGE)
 
 
 def build_transfer_slice(spec: ModelSpec,
@@ -66,22 +67,31 @@ def build_transfer_slice(spec: ModelSpec,
     """One dual-transfer-matrix slice as an MPO of bond dimension 4.
 
     Maps an IM over the absorbed spin's trajectory y = (s, sbar) to an IM
-    over the neighbouring trajectory x = (sigma, sigmabar).  The virtual
-    bond carries the absorbed spin's folded index of the previous step, so
-    the kick links K[s', s] conj(K)[sbar', sbar] sit on the bonds; the
-    column chain starts with the (head-transformed) initial matrix and ends
-    with the trace constraint.  Both sides use identical tensors here: a
-    single diagonal layer per period makes the slice reflection symmetric.
+    over the neighbouring trajectory x = (sigma, sigmabar).  Both sides use
+    identical tensors here: a single diagonal layer per period makes the
+    slice reflection symmetric.
+    """
+    Jb = spec.J_eff if bond_coupling is None else bond_coupling
+    return _column_chain(spec, bond_phase_matrix(Jb))
+
+
+def _column_chain(spec: ModelSpec, P: np.ndarray) -> TemporalMpo:
+    """The absorbed spin's column with bond phases ``P[x, y]`` at each step.
+
+    The virtual bond carries the absorbed spin's folded index of the
+    previous step, so the kick links K[s', s] conj(K)[sbar', sbar] sit on
+    the bonds; the chain starts with the (head-transformed) initial matrix
+    and ends with the trace constraint.  The identity ``P`` copies the
+    absorbed trajectory to the output leg: the weight chain of the
+    coupling-averaged slice.
     """
     T = spec.T
     kern = floquet_kernel(spec)
-    Jb = spec.J_eff if bond_coupling is None else bond_coupling
-    P = bond_phase_matrix(Jb)
     v0 = kern.rho0_effective().reshape(4) * kern.field_phases
     link = folded_kick_links(kern.kick) * kern.field_phases[:, None]  # [y', y]
     if T == 1:
         W = (P * (v0 * _TRACE_MASK)[None, :])[None, :, :, None]
-        return TemporalMpo([W.astype(complex)])
+        return TemporalMpo([W])
     rng4 = np.arange(4)
     head = np.zeros((1, 4, 4, 4), dtype=complex)
     head[0, :, rng4, rng4] = (P * v0[None, :]).T  # advanced indexing puts y first
@@ -120,36 +130,10 @@ def build_disorder_slice(spec: ModelSpec) -> "DisorderSliceMpo":
     """
     if spec.disorder != "uniform_J_0_2pi":
         raise ValueError("spec has no uniform coupling disorder")
-    T = spec.T
-    kern = floquet_kernel(spec)
-    v0 = kern.rho0_effective().reshape(4) * kern.field_phases
-    link = folded_kick_links(kern.kick) * kern.field_phases[:, None]
-    rng4 = np.arange(4)
-
-    weight: List[np.ndarray] = []
-    if T == 1:
-        W = np.zeros((1, 4, 4, 1), dtype=complex)
-        W[0, rng4, rng4, 0] = v0 * _TRACE_MASK
-        weight.append(W)
-    else:
-        W = np.zeros((1, 4, 4, 4), dtype=complex)
-        W[0, rng4, rng4, rng4] = v0
-        weight.append(W)
-        for t in range(1, T - 1):
-            W = np.zeros((4, 4, 4, 4), dtype=complex)
-            for b in range(4):
-                W[b, rng4, rng4, rng4] = link[:, b]
-            weight.append(W)
-        W = np.zeros((4, 4, 4, 1), dtype=complex)
-        for b in range(4):
-            W[b, rng4, rng4, 0] = link[:, b] * _TRACE_MASK
-        weight.append(W)
-
-    inc = (np.outer(FOLDED_SIGMA, FOLDED_SIGMA)
-           - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR)).astype(int)
-    windows = _constraint_windows(T)
+    inc = _BOND_CHARGE.astype(int)
+    windows = _constraint_windows(spec.T)
     constraint: List[np.ndarray] = []
-    for t in range(T):
+    for t in range(spec.T):
         wl, wr = windows[t], windows[t + 1]
         C = np.zeros((len(wl), 4, 4, len(wr)), dtype=complex)
         for i, b in enumerate(wl):
@@ -157,7 +141,8 @@ def build_disorder_slice(spec: ModelSpec) -> "DisorderSliceMpo":
             for j, b2 in enumerate(wr):
                 C[i, :, :, j] = (target == b2)
         constraint.append(C)
-    return DisorderSliceMpo(TemporalMpo(weight), TemporalMpo(constraint))
+    return DisorderSliceMpo(_column_chain(spec, np.eye(4)),
+                            TemporalMpo(constraint))
 
 
 @dataclass
@@ -474,8 +459,7 @@ def _spec_header(spec: ModelSpec) -> dict:
     imp = None if spec.impurity is None else {"beta": spec.impurity.beta}
     return {"J": spec.J, "T": spec.T, "disorder": spec.disorder, "eps": spec.eps,
             "g": spec.g, "h": spec.h, "impurity": imp,
-            "initial_state": spec.initial_state, "q": spec.q,
-            "trotter_order": spec.trotter_order}
+            "initial_state": spec.initial_state, "trotter_order": spec.trotter_order}
 
 
 def _spec_from_header(d: dict) -> ModelSpec:
@@ -531,5 +515,5 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
                                iterations_applied=header["iterations"],
                                converged=header["converged"],
                                eigenvalue_drift=header["eigenvalue_drift"])
-    except (KeyError, TypeError, struct.error) as exc:
+    except (KeyError, TypeError, OverflowError, struct.error) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from exc

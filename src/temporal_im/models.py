@@ -62,15 +62,12 @@ class ModelSpec:
     impurity: Optional[Impurity] = None
     disorder: Optional[str] = None
     trotter_order: int = 2
-    q: int = 2
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        if self.q != 2:
-            raise ValueError("only spin-1/2 chains are supported")
         if self.initial_state not in INITIAL_STATES:
             raise ValueError(f"unknown initial state {self.initial_state!r}")
         if self.disorder not in DISORDER_KINDS:

@@ -71,9 +71,9 @@ class TemporalMpo:
         return m.transpose(perm).reshape(4 ** T, 4 ** T)
 
 
-def product_mps(site_vectors: List[np.ndarray], norm_log: float = 0.0) -> TemporalMps:
+def product_mps(site_vectors: List[np.ndarray]) -> TemporalMps:
     tensors = [np.asarray(v, dtype=complex).reshape(1, 4, 1) for v in site_vectors]
-    return TemporalMps(tensors, norm_log=norm_log, canonical_center=None)
+    return TemporalMps(tensors)
 
 
 def canonicalize(psi: TemporalMps, center: int) -> TemporalMps:

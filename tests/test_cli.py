@@ -66,6 +66,18 @@ def test_csv_writer_format(tmp_path):
     assert all(row.split(",")[8] == "open" for row in lines[1:])
 
 
+def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """The manifest lands atomically: when the write fails, the error
+    propagates and neither the manifest nor its temporary file remains."""
+    def broken_dump(*args, **kwargs):
+        raise RuntimeError("disk gone")
+    monkeypatch.setattr(cli.json, "dump", broken_dump)
+    cfg = parse_config_text(TINY_QUENCH)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        cli.write_manifest(str(tmp_path), cfg, None, 0.0, [], {}, {})
+    assert os.listdir(tmp_path) == []
+
+
 def test_run_quench_and_determinism(tmp_path):
     cfgp = tmp_path / "q.cfg"
     cfgp.write_text(TINY_QUENCH)
@@ -122,6 +134,8 @@ def test_run_rejects_bad_values(tmp_path, capsys, text):
     assert not (tmp_path / "o").exists()
 
 
+TINY_SCAN = "experiment = entropy-scan\nJ = 0.31\ng = 0.57\nh = 0.23\nchi = 8\n"
+
 BAD_CONFIGS = [
     ("experiment = quench\nJ = one\n", "bad value for 'J'"),
     (TINY_QUENCH + "boundary = open,reflecting\n", "unknown boundary kind 'reflecting'"),
@@ -131,6 +145,10 @@ BAD_CONFIGS = [
     (TINY_QUENCH.replace("cutoff = 1e-12", "cutoff = -1e-12"), "cutoff must be >= 0"),
     # the battery is the oracle-check subcommand, not an experiment
     ("experiment = oracle-check\n", "unknown experiment 'oracle-check'"),
+    (TINY_SCAN + "T_list = ,\n", "T_list list is empty"),
+    (TINY_SCAN + "T_list = 3,2,3\n", "T_list list"),
+    (TINY_SCAN + "t = 0.4\neps_list = ,\n", "eps_list list is empty"),
+    (TINY_SCAN + "t = 0.4\neps_list = 0.1,0.2,0.1\n", "eps_list list"),
 ]
 
 
@@ -144,7 +162,6 @@ def test_run_config_error_exit_code(tmp_path, capsys):
         assert message in capsys.readouterr().err
         assert not out.exists()
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
-    assert cli.main(["oracle-check", "--tmax", "0"]) == 2
 
 
 def test_dtc_runs_without_a_seed(tmp_path):
@@ -169,16 +186,21 @@ def test_seed_flag_overrides_config(tmp_path):
     assert all(r.split(",")[9] == "9" for r in rows)
 
 
-def test_entropy_subcommand(tmp_path):
+@pytest.mark.parametrize("argv", [["entropy", "e.cfg"],
+                                  ["oracle-check", "--tmax", "5"]],
+                         ids=["entropy", "oracle_check_tmax"])
+def test_removed_routes_are_usage_errors(tmp_path, capsys, argv):
+    """``run`` is the one route for entropy-scan configs, and the oracle
+    battery has no size flag: both old forms are argparse errors."""
     cfgp = tmp_path / "e.cfg"
-    cfgp.write_text("experiment = entropy-scan\nJ = 0.31\ng = 0.57\nh = 0.23\n"
-                    f"T_list = 2,3\nchi = 8\nout = {tmp_path / 'eo'}\n")
-    assert cli.main(["entropy", str(cfgp)]) == 0
+    cfgp.write_text(TINY_SCAN + f"T_list = 2,3\nout = {tmp_path / 'eo'}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([str(cfgp) if a == "e.cfg" else a for a in argv])
+    assert exc.value.code == 2
+    assert "usage: temporal-im" in capsys.readouterr().err
+    assert not (tmp_path / "eo").exists()
+    assert cli.main(["run", str(cfgp)]) == 0
     assert (tmp_path / "eo" / "entropy-scan_chi8.csv").exists()
-    # run refuses the entropy subcommand on a non-entropy config
-    cfgq = tmp_path / "q.cfg"
-    cfgq.write_text(TINY_QUENCH)
-    assert cli.main(["entropy", str(cfgq)]) == 2
 
 
 def test_out_directory_rule(tmp_path, monkeypatch):
@@ -191,17 +213,23 @@ def test_out_directory_rule(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path / "from_flag")) == sorted(
         os.listdir(tmp_path / "from_cfg"))
     assert not (tmp_path / "quench_chi8.csv").exists()
-    # entropy follows the same rule; --out wins there too
-    cfge = tmp_path / "e.cfg"
-    cfge.write_text("experiment = entropy-scan\nJ = 0.31\ng = 0.57\nh = 0.23\n"
-                    f"T_list = 2\nchi = 4\nout = {tmp_path / 'e_cfg'}\n")
-    assert cli.main(["entropy", str(cfge), "--out", str(tmp_path / "e_flag")]) == 0
-    assert (tmp_path / "e_flag" / "entropy-scan_chi4.csv").exists()
-    assert not (tmp_path / "e_cfg").exists()
 
 
-def test_oracle_check_subcommand():
-    assert cli.main(["oracle-check", "--tmax", "2"]) == 0
+def test_oracle_check_subcommand(capsys, monkeypatch):
+    """One fixed battery: every check at T = 4, the g = 0 one at T = 5."""
+    from temporal_im import influence
+    real_solve = influence.solve_im
+    sizes = []
+
+    def solve(spec, *args, **kwargs):
+        sizes.append(spec.T)
+        return real_solve(spec, *args, **kwargs)
+    monkeypatch.setattr(influence, "solve_im", solve)
+    assert cli.main(["oracle-check"]) == 0
+    assert sizes == [4, 4, 5]
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13 and all(line.startswith("[PASS] ") for line in lines)
+    assert lines[-1].startswith("[PASS] g=0 IM vs closed form:")
 
 
 def test_chi_sweep_order_largest_first(tmp_path):

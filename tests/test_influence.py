@@ -390,18 +390,21 @@ def test_checkpoint_v2_header_has_no_side():
     header, _ = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
     assert header["version"] == 2
     assert "side" not in header
+    assert "q" not in header["spec"]  # spin-1/2 is the only chain there is
 
 
 def test_checkpoint_reads_v1():
     im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
     header, body = _ckpt_parts(checkpoint_bytes(im))
-    v1 = _ckpt_blob(dict(header, version=1, side="left"), body)
+    # old headers also carry a "q" in their spec, which nothing reads
+    v1 = _ckpt_blob(dict(header, version=1, side="left",
+                         spec=dict(header["spec"], q=2)), body)
     back = load_checkpoint(io.BytesIO(v1))
     assert back.spec == SPEC_TROT
     assert back.psi.norm_log == im.psi.norm_log
     assert len(back.psi.tensors) == len(im.psi.tensors)
     assert all(np.array_equal(a, b) for a, b in zip(back.psi.tensors, im.psi.tensors))
-    # the v1 "side" label is dropped: saving again gives the v2 bytes
+    # the v1 "side" label and "q" are dropped: saving again gives the v2 bytes
     assert checkpoint_bytes(back) == checkpoint_bytes(im)
 
 
