@@ -11,7 +11,7 @@ from .influence import (InfluenceMatrix, NumericalInstabilityError,
                         impurity_im, load_checkpoint, save_checkpoint,
                         solve_im)
 from .observables import (Insertion, InsertionPlan, ResultSeries,
-                          autocorrelator_series, czz_plan, entropy_series,
+                          autocorrelator_series, entropy_series,
                           quench_magnetization_series, temporal_contract)
 from .oracles import (ResourceLimitError, binary_entropy_formula,
                       dicke_entropy, ed_chain_evolve,
@@ -25,8 +25,7 @@ __all__ = [
     "build_transfer_slice", "impurity_im", "load_checkpoint",
     "save_checkpoint", "solve_im",
     "Insertion", "InsertionPlan", "ResultSeries", "autocorrelator_series",
-    "czz_plan", "entropy_series", "quench_magnetization_series",
-    "temporal_contract",
+    "entropy_series", "quench_magnetization_series", "temporal_contract",
     "ResourceLimitError", "binary_entropy_formula", "dicke_entropy",
     "ed_chain_evolve", "ed_disorder_monte_carlo", "g0_schmidt_entropy",
     "im_g0",

@@ -139,6 +139,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     for need in _REQUIRED[exp]:
         if need not in raw:
             raise ConfigError(f"experiment {exp!r} requires key {need!r}")
+    if exp in ("dtc", "entropy-scan") and "eps" in raw:
+        raise ConfigError(f"experiment {exp!r} does not read 'eps'")
     if exp == "entropy-scan":
         if ("eps_list" in raw) == ("T_list" in raw):
             raise ConfigError("entropy-scan needs exactly one of eps_list, T_list")
@@ -439,7 +441,7 @@ def oracle_check() -> int:
 
     report: list = []
     spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=4)
-    spec2 = ModelSpec(J=0.8, g=0.45, h=0.3, T=4, eps=0.1, trotter_order=2)
+    spec2 = ModelSpec(J=0.8, g=0.45, h=0.3, T=4, eps=0.1)
     for s, tag in ((spec, "floquet"), (spec2, "trotter")):
         dense = oracles.dense_transfer_slice(s)
         mpo = build_transfer_slice(s).dense()

@@ -87,7 +87,7 @@ def _column_chain(spec: ModelSpec, P: np.ndarray) -> TemporalMpo:
     """
     T = spec.T
     kern = floquet_kernel(spec)
-    v0 = kern.rho0_effective().reshape(4) * kern.field_phases
+    v0 = (kern.head @ kern.rho0 @ kern.head.conj().T).reshape(4) * kern.field_phases
     link = folded_kick_links(kern.kick) * kern.field_phases[:, None]  # [y', y]
     if T == 1:
         W = (P * (v0 * _TRACE_MASK)[None, :])[None, :, :, None]
@@ -105,20 +105,6 @@ def _column_chain(spec: ModelSpec, P: np.ndarray) -> TemporalMpo:
 
 # ------------------------------------------------------------- disorder slice
 
-def _constraint_windows(T: int) -> List[np.ndarray]:
-    """Reachable running charges at each virtual bond of the constraint MPO.
-
-    The per-step increment sigma_x sigma_y - sigmabar_x sigmabar_y is in
-    {-2, 0, +2} and the total must return to zero, so bond t holds the even
-    values |B| <= 2 min(t, T-t).
-    """
-    out = []
-    for t in range(T + 1):
-        m = 2 * min(t, T - t)
-        out.append(np.arange(-m, m + 1, 2))
-    return out
-
-
 def build_disorder_slice(spec: ModelSpec) -> "DisorderSliceMpo":
     """Exactly coupling-averaged slice, factored into two MPOs.
 
@@ -126,21 +112,20 @@ def build_disorder_slice(spec: ModelSpec) -> "DisorderSliceMpo":
     total charge sum_t (sigma_t s_t - sigmabar_t sbar_t).  The slice then
     splits into the J-independent column-weight chain (diagonal in the
     output trajectory) followed by the charge-constraint MPO, applied in
-    that order.
+    that order.  Its bond t carries the running charge: the per-step
+    increment sigma_x sigma_y - sigmabar_x sigmabar_y is in {-2, 0, +2} and
+    the total must return to zero, so bond t holds the even values
+    |B| <= 2 min(t, T-t).
     """
     if spec.disorder != "uniform_J_0_2pi":
         raise ValueError("spec has no uniform coupling disorder")
     inc = _BOND_CHARGE.astype(int)
-    windows = _constraint_windows(spec.T)
-    constraint: List[np.ndarray] = []
-    for t in range(spec.T):
-        wl, wr = windows[t], windows[t + 1]
-        C = np.zeros((len(wl), 4, 4, len(wr)), dtype=complex)
-        for i, b in enumerate(wl):
-            target = b + inc  # (4, 4)
-            for j, b2 in enumerate(wr):
-                C[i, :, :, j] = (target == b2)
-        constraint.append(C)
+    T = spec.T
+    windows = [np.arange(-2 * min(t, T - t), 2 * min(t, T - t) + 1, 2)
+               for t in range(T + 1)]
+    constraint = [(wl[:, None, None, None] + inc[None, :, :, None]
+                   == wr[None, None, None, :]).astype(complex)
+                  for wl, wr in zip(windows, windows[1:])]
     return DisorderSliceMpo(_column_chain(spec, np.eye(4)),
                             TemporalMpo(constraint))
 
@@ -459,14 +444,17 @@ def _spec_header(spec: ModelSpec) -> dict:
     imp = None if spec.impurity is None else {"beta": spec.impurity.beta}
     return {"J": spec.J, "T": spec.T, "disorder": spec.disorder, "eps": spec.eps,
             "g": spec.g, "h": spec.h, "impurity": imp,
-            "initial_state": spec.initial_state, "trotter_order": spec.trotter_order}
+            "initial_state": spec.initial_state}
 
 
 def _spec_from_header(d: dict) -> ModelSpec:
+    # older headers carry "trotter_order"; only the split kick (2) is left
+    if d.get("trotter_order", 2) != 2:
+        raise ValueError(f"trotter_order {d['trotter_order']!r}: an unsplit step "
+                         "is the eps = 0 spec at angles scaled by eps")
     imp = d.get("impurity")
     return ModelSpec(J=d["J"], g=d["g"], h=d["h"], T=d["T"], eps=d["eps"],
                      initial_state=d["initial_state"], disorder=d["disorder"],
-                     trotter_order=d["trotter_order"],
                      impurity=None if imp is None else Impurity(beta=imp["beta"]))
 
 
@@ -515,5 +503,6 @@ def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
                                iterations_applied=header["iterations"],
                                converged=header["converged"],
                                eigenvalue_drift=header["eigenvalue_drift"])
-    except (KeyError, TypeError, OverflowError, struct.error) as exc:
+    except (AttributeError, KeyError, TypeError, OverflowError,
+            struct.error) as exc:
         raise ValueError(f"malformed checkpoint: {exc!r}") from exc

@@ -6,10 +6,11 @@ uniform transverse kick, i.e. U = K * D with
     D = exp(-i J_eff sum_j z_j z_{j+1} - i h_eff sum_j z_j)
     K = prod_j exp(-i g_eff x_j)
 
-For eps > 0 the per-step angles are (J*eps, g*eps, h*eps) and with
-trotter_order 2 the kick is split symmetrically around the diagonal layer
-(half-kick, diagonal, half-kick), which leaves the diagonal structure of the
-folded chain intact.
+For eps > 0 the per-step angles are (J*eps, g*eps, h*eps) and the kick is
+split symmetrically around the diagonal layer (half-kick, diagonal,
+half-kick), which leaves the diagonal structure of the folded chain intact.
+An unsplit step of size eps is the eps = 0 spec at angles (J*eps, g*eps,
+h*eps).
 """
 from __future__ import annotations
 
@@ -61,7 +62,6 @@ class ModelSpec:
     initial_state: str = "infinite_temperature"
     impurity: Optional[Impurity] = None
     disorder: Optional[str] = None
-    trotter_order: int = 2
 
     def __post_init__(self):
         if self.T < 1:
@@ -72,8 +72,6 @@ class ModelSpec:
             raise ValueError(f"unknown initial state {self.initial_state!r}")
         if self.disorder not in DISORDER_KINDS:
             raise ValueError(f"unknown disorder kind {self.disorder!r}")
-        if self.trotter_order not in (1, 2):
-            raise ValueError("trotter_order must be 1 or 2")
 
     # effective per-step angles
     @property
@@ -91,7 +89,7 @@ class ModelSpec:
     @property
     def split_kick(self) -> bool:
         """Symmetric kick splitting is in effect."""
-        return self.eps > 0 and self.trotter_order == 2
+        return self.eps > 0
 
     @property
     def t(self) -> Optional[float]:
@@ -104,30 +102,15 @@ class LocalKernel:
 
     kick is the full-step forward matrix; the backward branch uses its
     conjugate.  head transforms rho0 at the start (identity, or the half
-    kick when the splitting is symmetric), tail is the transform between the
-    last diagonal layer and the trace (full kick, or half kick).
+    kick when the kick is split), tail is the transform between the last
+    diagonal layer and the trace (full kick, or half kick).
     """
     kick: np.ndarray
     head: np.ndarray
     tail: np.ndarray
     field_phases: np.ndarray  # e^{-i h_eff (sigma - sigma_bar)}, length 4
     rho0: np.ndarray
-    g_eff: float
-    h_eff: float
     split: bool
-
-    def rho0_effective(self) -> np.ndarray:
-        """Initial matrix with the head transform absorbed."""
-        return self.head @ self.rho0 @ self.head.conj().T
-
-    def step_superop(self) -> np.ndarray:
-        """Folded one-step kick superoperator S[(s s~), (s' s~')]."""
-        K = self.kick
-        return np.einsum("ac,bd->abcd", K, K.conj()).reshape(4, 4)
-
-    def half_superop(self) -> np.ndarray:
-        Kh = kick_matrix(self.g_eff / 2.0)
-        return np.einsum("ac,bd->abcd", Kh, Kh.conj()).reshape(4, 4)
 
 
 def floquet_kernel(spec: ModelSpec, site_role: str = "bulk") -> LocalKernel:
@@ -151,7 +134,7 @@ def floquet_kernel(spec: ModelSpec, site_role: str = "bulk") -> LocalKernel:
     phases = np.exp(-1j * h_eff * (FOLDED_SIGMA - FOLDED_SIGMA_BAR))
     return LocalKernel(kick=K, head=head, tail=tail, field_phases=phases,
                        rho0=initial_density(spec.initial_state),
-                       g_eff=g_eff, h_eff=h_eff, split=spec.split_kick)
+                       split=spec.split_kick)
 
 
 def trotter_steps(t: float, eps: float) -> int:
@@ -168,8 +151,7 @@ def trotter_steps(t: float, eps: float) -> int:
 def trotterize(J: float, g: float, h: float, t: float, eps: float,
                **kwargs) -> ModelSpec:
     """Spec for continuous evolution to time t in steps of eps (T = t/eps)."""
-    return ModelSpec(J=J, g=g, h=h, T=trotter_steps(t, eps), eps=eps,
-                     trotter_order=2, **kwargs)
+    return ModelSpec(J=J, g=g, h=h, T=trotter_steps(t, eps), eps=eps, **kwargs)
 
 
 def folded_kick_links(K: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .influence import InfluenceMatrix, impurity_im, solve_im
 from .models import (ID2, PAULI, LocalKernel, ModelSpec, floquet_kernel,
-                     initial_density, trotterize)
+                     trotterize)
 from .mps import TemporalMps
 from .tensor import FOLDED_BWD, FOLDED_FWD
 
@@ -36,11 +36,9 @@ class Insertion:
 
 @dataclass
 class InsertionPlan:
-    """Operator insertions on the probed site, plus an optional override of
-    its initial one-site state.  Multiple entries at the same (time, branch)
-    compose in list order."""
+    """Operator insertions on the probed site.  Multiple entries at the same
+    (time, branch) compose in list order."""
     entries: List[Insertion] = field(default_factory=list)
-    initial_state: Optional[OpLike] = None
 
     def validate(self, T: int) -> None:
         for e in self.entries:
@@ -52,12 +50,6 @@ class InsertionPlan:
             nrm = np.linalg.norm(m, 2)
             if abs(nrm - 1.0) > 1e-8:
                 raise ValueError(f"operator norm {nrm:.3g} is not 1")
-
-
-def czz_plan(T: int) -> InsertionPlan:
-    """sigma^z at time 0 and time T, forward branch: the autocorrelator."""
-    return InsertionPlan([Insertion(0, "forward", "z"),
-                          Insertion(T, "forward", "z")])
 
 
 @dataclass
@@ -79,38 +71,59 @@ def _op_matrix(op: OpLike) -> np.ndarray:
     return m
 
 
-def _resolve_initial(state: OpLike) -> np.ndarray:
-    if isinstance(state, str):
-        return initial_density(state)
-    m = np.asarray(state, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError("initial state must be a 2x2 density matrix")
-    return m
+# --------------------------------------------- actions on the probed site
+#
+# Everything that happens to the probed site between its initial state and
+# the trace acts on its 2x2 matrix as X -> L X R: an operator O on the
+# forward branch is (O, 1), on the backward branch (1, O^dag), on both
+# (O, O^dag), and a kick K is (K, K^dag).  The three forms a contraction
+# needs all follow from that pair.
+
+Action = Tuple[np.ndarray, np.ndarray]
 
 
-def _insertion_superop(e: Insertion) -> np.ndarray:
-    """Folded 4x4 action of one insertion on the site's (fwd, bwd) pair."""
+def _action(e: Insertion) -> Action:
+    """(L, R) of one insertion."""
     O = _op_matrix(e.op)
     if e.branch == "forward":
-        return np.einsum("ac,bd->abcd", O, ID2).reshape(4, 4)
+        return O, ID2
     if e.branch == "backward":
-        return np.einsum("ac,bd->abcd", ID2, O.conj()).reshape(4, 4)
-    return np.einsum("ac,bd->abcd", O, O.conj()).reshape(4, 4)
+        return ID2, O.conj().T
+    return O, O.conj().T
 
 
-def _final_matrix(entries: Sequence[Insertion], T: int) -> np.ndarray:
-    M = ID2.copy()
-    for e in reversed(entries):  # Tr(M rho): the last one acts last, outermost
-        if e.time != T:
-            continue
-        O = _op_matrix(e.op)
-        if e.branch == "forward":
-            M = M @ O
-        elif e.branch == "backward":
-            M = O.conj().T @ M
-        else:
-            M = O.conj().T @ M @ O
-    return M
+def _unitary(U: np.ndarray) -> Action:
+    """(U, U^dag): ``U`` on both branches, as a kick acts."""
+    return U, U.conj().T
+
+
+def _superop(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Folded 4x4 superoperator of X -> L X R on the (fwd, bwd) pair."""
+    return np.einsum("ac,bd->abcd", L, R.T).reshape(4, 4)
+
+
+def _link(kern: LocalKernel, actions: Sequence[Action]) -> np.ndarray:
+    """Superoperator from one period to the next, with ``actions`` applied
+    in list order after the kick, or between its halves when it is split."""
+    if not actions:
+        return _superop(*_unitary(kern.kick))
+    sup = _superop(*actions[0])
+    for a in actions[1:]:
+        sup = _superop(*a) @ sup
+    if kern.split:
+        Sh = _superop(*_unitary(kern.head))
+        return Sh @ sup @ Sh
+    return sup @ _superop(*_unitary(kern.kick))
+
+
+def _cap(kern: LocalKernel, actions: Sequence[Action]) -> np.ndarray:
+    """Final cap on folded indices, trace built in: Tr(M X) after the tail
+    kick and then ``actions``, with the readout dual M -> R M L taken in
+    reverse order (the last action is outermost)."""
+    M = ID2
+    for L, R in reversed([_unitary(kern.tail)] + list(actions)):
+        M = R @ M @ L
+    return M[FOLDED_BWD, FOLDED_FWD]
 
 
 def kernel_factors(kern: LocalKernel, T: int, plan: Optional[InsertionPlan] = None):
@@ -119,44 +132,17 @@ def kernel_factors(kern: LocalKernel, T: int, plan: Optional[InsertionPlan] = No
     Returns (w0, dh, links, F): the dressed initial vector (initial state
     with time-0 insertions and the head transform), the per-step field
     phases, the T-1 step superoperators with any stroboscopic insertions
-    folded in, and the final cap (tail-transformed readout matrix on folded
-    indices, trace built in).
+    folded in, and the final cap.
     """
-    entries = [] if plan is None else list(plan.entries)
+    at: List[List[Action]] = [[] for _ in range(T + 1)]
+    for e in [] if plan is None else plan.entries:
+        at[e.time].append(_action(e))
     rho = kern.rho0
-    if plan is not None and plan.initial_state is not None:
-        rho = _resolve_initial(plan.initial_state)
-    for e in entries:
-        if e.time == 0:
-            O = _op_matrix(e.op)
-            if e.branch == "forward":
-                rho = O @ rho
-            elif e.branch == "backward":
-                rho = rho @ O.conj().T
-            else:
-                rho = O @ rho @ O.conj().T
-    rho = kern.head @ rho @ kern.head.conj().T
-    w0 = rho.reshape(4)
-    dh = kern.field_phases
-    S = kern.step_superop()
-    Sh = kern.half_superop()
-    links = []
-    for t in range(1, T):
-        sup = None
-        for e in entries:
-            if e.time != t:
-                continue
-            step = _insertion_superop(e)
-            sup = step if sup is None else step @ sup
-        if sup is None:
-            links.append(S)
-        elif kern.split:
-            links.append(Sh @ sup @ Sh)
-        else:
-            links.append(sup @ S)
-    A = kern.tail.conj().T @ _final_matrix(entries, T) @ kern.tail
-    F = A[FOLDED_BWD, FOLDED_FWD]
-    return w0, dh, links, F
+    for L, R in at[0] + [_unitary(kern.head)]:
+        rho = L @ rho @ R
+    S = _link(kern, [])
+    links = [_link(kern, at[t]) if at[t] else S for t in range(1, T)]
+    return rho.reshape(4), kern.field_phases, links, _cap(kern, at[T])
 
 
 def _env_step(E: np.ndarray, link: np.ndarray, dh: np.ndarray,
@@ -227,10 +213,8 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
     if any(e.time != 0 for e in base_plan.entries):
         raise ValueError("scan base plan must only touch time 0")
     w0, dh, links, F0 = kernel_factors(kernel, T, base_plan)
-    sup = _insertion_superop(Insertion(0, "forward", "z"))
-    S = kernel.step_superop()
-    Sh = kernel.half_superop()
-    link_ins = Sh @ sup @ Sh if kernel.split else sup @ S
+    z = [_action(Insertion(T, "forward", "z"))]
+    link_ins, F_ins = _link(kernel, z), _cap(kernel, z)
     A = psi.tensors
 
     lefts = list(_left_sweep(psi, w0, dh, links))
@@ -244,8 +228,6 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
     log_scale = 2 * psi.norm_log
     out = np.empty(T, dtype=complex)
-    Mfin = kernel.tail.conj().T @ PAULI["z"] @ kernel.tail
-    F_ins = Mfin[FOLDED_BWD, FOLDED_FWD]
     for k in range(1, T):
         E = _env_step(lefts[k - 1], link_ins, dh, A[k])
         out[k - 1] = _scaled(complex(np.sum(E * rights[k + 1])), log_scale)

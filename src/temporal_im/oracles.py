@@ -253,10 +253,6 @@ def dense_kernel_contract(im_left: np.ndarray, im_right: np.ndarray,
     kern = floquet_kernel(spec, site_role)
     entries = [] if plan is None else list(plan.entries)
     rho = kern.rho0.copy()
-    if plan is not None and plan.initial_state is not None:
-        rho = (initial_density(plan.initial_state)
-               if isinstance(plan.initial_state, str)
-               else np.asarray(plan.initial_state, dtype=complex))
     for e in entries:
         if e.time == 0:
             O = _op_matrix(e.op)
@@ -269,8 +265,8 @@ def dense_kernel_contract(im_left: np.ndarray, im_right: np.ndarray,
     rho = kern.head @ rho @ kern.head.conj().T
     v0 = rho.reshape(-1)  # folded order (ff, fb, bf, bb) = row-major 2x2
     dh = kern.field_phases
-    S = kern.step_superop()
-    Sh = kern.half_superop()
+    S = np.einsum("ac,bd->abcd", kern.kick, kern.kick.conj()).reshape(4, 4)
+    Sh = np.einsum("ac,bd->abcd", kern.head, kern.head.conj()).reshape(4, 4)
     links = []
     for t in range(1, T):
         sup = None
@@ -428,7 +424,7 @@ def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,
     abscissa = np.arange(spec.T + 1) * (spec.eps if spec.eps > 0 else 1.0)
 
     if plan is not None:
-        rho = _plan_initial_rho(spec, plan, L)
+        rho = _initial_rho(spec, L)
         val = _evolve_density_with_plan(spec, plan, rho, D, K, Kh, L, zv)
         return ResultSeries("chain-ed-plan", abscissa[-1:], np.array([val]), meta)
 
@@ -464,21 +460,14 @@ def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,
     return ResultSeries("chain-ed-czz", abscissa, np.asarray(out, dtype=complex), meta)
 
 
-def _plan_initial_rho(spec: ModelSpec, plan, L: int) -> np.ndarray:
-    dim = 2 ** L
-    if spec.initial_state == "infinite_temperature" and plan.initial_state is None:
-        rho = np.eye(dim, dtype=complex) / dim
-    else:
-        site0 = initial_density(spec.initial_state)
-        if plan.initial_state is not None:
-            site0 = (initial_density(plan.initial_state)
-                     if isinstance(plan.initial_state, str)
-                     else np.asarray(plan.initial_state, dtype=complex))
-        # product of site0 at the center and the spec state elsewhere
-        rho = np.array([[1.0]], dtype=complex)
-        bulk = initial_density(spec.initial_state)
-        for j in range(L):
-            rho = np.kron(rho, site0 if j == L // 2 else bulk)
+def _initial_rho(spec: ModelSpec, L: int) -> np.ndarray:
+    """Chain density matrix: the spec's one-site state on every site."""
+    if spec.initial_state == "infinite_temperature":
+        return np.eye(2 ** L, dtype=complex) / 2 ** L
+    rho = np.array([[1.0]], dtype=complex)
+    site = initial_density(spec.initial_state)
+    for _ in range(L):
+        rho = np.kron(rho, site)
     return rho
 
 
@@ -538,8 +527,7 @@ def ed_disorder_monte_carlo(spec: ModelSpec, L: int, samples: int, seed: int):
         Jb = rng.uniform(0.0, 2 * np.pi, L - 1)
         series = ed_chain_evolve(
             ModelSpec(J=spec.J, g=spec.g, h=spec.h, T=spec.T, eps=spec.eps,
-                      initial_state=spec.initial_state,
-                      trotter_order=spec.trotter_order),
+                      initial_state=spec.initial_state),
             L, J_bonds=Jb)
         vals = series.values.real
         acc += vals

@@ -112,11 +112,6 @@ def _openblas_libs() -> Dict[str, tuple]:
     return libs
 
 
-def blas_threads() -> Tuple[int, ...]:
-    """Current thread count of each loaded OpenBLAS; empty if none is found."""
-    return tuple(get() for get, _ in _openblas_libs().values())
-
-
 # State of the open ``one_blas_thread`` blocks, guarded by _PIN_LOCK: how many
 # are open, the libraries they hold at one thread, and the (set, count) pairs
 # of libraries loaded while one was open, restored when the last one closes.

@@ -10,7 +10,9 @@ from temporal_im import cli
 from temporal_im.cli import (ConfigError, CSV_COLUMNS, load_config,
                              parse_config_text, write_series_csv)
 from temporal_im.observables import ResultSeries
-from temporal_im.tensor import _openblas_libs, blas_threads
+from temporal_im.tensor import _openblas_libs
+
+from helpers import blas_threads
 
 TINY_QUENCH = """
 # smallest useful quench run
@@ -149,6 +151,11 @@ BAD_CONFIGS = [
     (TINY_SCAN + "T_list = 3,2,3\n", "T_list list"),
     (TINY_SCAN + "t = 0.4\neps_list = ,\n", "eps_list list is empty"),
     (TINY_SCAN + "t = 0.4\neps_list = 0.1,0.2,0.1\n", "eps_list list"),
+    # neither model reads eps; it would only be echoed into the eps column
+    ("experiment = dtc\neps_kick = 0.1\neps = 0.5\nh = 0.3\nT_max = 2\nchi = 8\n",
+     "experiment 'dtc' does not read 'eps'"),
+    (TINY_SCAN + "T_list = 2,3\neps = 0.25\n",
+     "experiment 'entropy-scan' does not read 'eps'"),
 ]
 
 

@@ -40,8 +40,8 @@ def test_boundary_states():
 
 
 @pytest.mark.parametrize("spec", [SPEC, SPEC_TROT,
-                                  ModelSpec(J=0.8, g=0.45, h=0.3, T=3,
-                                            eps=0.1, trotter_order=1),
+                                  # an unsplit step of 0.1
+                                  ModelSpec(J=0.08, g=0.045, h=0.03, T=3),
                                   ModelSpec(J=0.5, g=0.7, h=0.1, T=1)])
 def test_slice_mpo_matches_brute_force(spec):
     mpo = build_transfer_slice(spec)
@@ -391,20 +391,22 @@ def test_checkpoint_v2_header_has_no_side():
     assert header["version"] == 2
     assert "side" not in header
     assert "q" not in header["spec"]  # spin-1/2 is the only chain there is
+    assert "trotter_order" not in header["spec"]  # the kick is always split
 
 
 def test_checkpoint_reads_v1():
     im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
     header, body = _ckpt_parts(checkpoint_bytes(im))
-    # old headers also carry a "q" in their spec, which nothing reads
+    # old headers also carry a "q" and "trotter_order": 2 in their spec
     v1 = _ckpt_blob(dict(header, version=1, side="left",
-                         spec=dict(header["spec"], q=2)), body)
+                         spec=dict(header["spec"], q=2, trotter_order=2)), body)
     back = load_checkpoint(io.BytesIO(v1))
     assert back.spec == SPEC_TROT
     assert back.psi.norm_log == im.psi.norm_log
     assert len(back.psi.tensors) == len(im.psi.tensors)
     assert all(np.array_equal(a, b) for a, b in zip(back.psi.tensors, im.psi.tensors))
-    # the v1 "side" label and "q" are dropped: saving again gives the v2 bytes
+    # the v1 "side" label, "q" and "trotter_order" are dropped: saving
+    # again gives the v2 bytes
     assert checkpoint_bytes(back) == checkpoint_bytes(im)
 
 
@@ -415,11 +417,18 @@ def test_checkpoint_rejects_unknown_version():
 
 
 def test_checkpoint_malformed_header_is_value_error():
-    """A header without its keys, or a blob cut short, is a ValueError."""
+    """A header without its keys or with a spec the engine cannot build, or
+    a blob cut short, is a ValueError."""
     empty = b"TIMC" + struct.pack("<I", 2) + b"{}"
     with pytest.raises(ValueError, match="version"):
         load_checkpoint(io.BytesIO(empty))
     header, body = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
+    with pytest.raises(ValueError):  # a spec that is not an object
+        load_checkpoint(io.BytesIO(_ckpt_blob(dict(header, spec=5), body)))
+    # a first-order Trotter spec from an older header has no spec any more
+    first_order = dict(header, spec=dict(header["spec"], trotter_order=1))
+    with pytest.raises(ValueError, match="trotter_order 1"):
+        load_checkpoint(io.BytesIO(_ckpt_blob(first_order, body)))
     del header["cutoff"]
     with pytest.raises(ValueError, match="cutoff"):
         load_checkpoint(io.BytesIO(_ckpt_blob(header, body)))

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from temporal_im.models import (Impurity, ModelSpec, floquet_kernel,
                                 folded_kick_links, initial_density,
                                 kick_matrix, trotterize)
-from temporal_im.tensor import FOLDED_BWD, FOLDED_FWD
+from temporal_im.observables import kernel_factors
+from temporal_im.tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA,
+                                FOLDED_SIGMA_BAR)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -34,8 +36,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(J=1.0, g=0.5, h=0.1, T=0)
     with pytest.raises(ValueError):
-        ModelSpec(J=1.0, g=0.5, h=0.1, T=3, trotter_order=3)
-    with pytest.raises(ValueError):
         ModelSpec(J=1.0, g=0.5, h=0.1, T=3, initial_state="sideways")
     with pytest.raises(ValueError):
         ModelSpec(J=1.0, g=0.5, h=0.1, T=3, disorder="gaussian")
@@ -49,8 +49,8 @@ def test_effective_couplings_scale_with_step():
     assert np.allclose((s.J_eff, s.g_eff, s.h_eff), (0.1, 0.05, 0.025))
     assert np.isclose(s.t, 0.4)
     assert s.split_kick
-    s1 = ModelSpec(J=1.0, g=0.5, h=0.25, T=4, eps=0.1, trotter_order=1)
-    assert not s1.split_kick
+    # an unsplit step of 0.1 is the eps = 0 spec at the scaled angles
+    assert not ModelSpec(J=0.1, g=0.05, h=0.025, T=4).split_kick
 
 
 def test_trotterize_step_count():
@@ -63,19 +63,19 @@ def test_trotterize_step_count():
 def test_kernel_rho0_effective_halfkick_frame():
     s = ModelSpec(J=1.0, g=0.9, h=0.3, T=3, eps=0.2)
     kern = floquet_kernel(s)
-    rho = kern.rho0_effective()
+    rho = kernel_factors(kern, s.T)[0].reshape(2, 2)
     Kh = kick_matrix(s.g_eff / 2)
     assert np.allclose(rho, Kh @ np.eye(2) / 2 @ Kh.conj().T, atol=1e-14)
     assert np.isclose(np.trace(rho), 1.0)
-    # first-order kernel keeps the bare state
-    s1 = ModelSpec(J=1.0, g=0.9, h=0.3, T=3, eps=0.2, trotter_order=1)
-    assert np.allclose(floquet_kernel(s1).rho0_effective(), np.eye(2) / 2)
+    # an unsplit step keeps the bare state
+    s1 = ModelSpec(J=0.2, g=0.18, h=0.06, T=3)
+    assert np.allclose(kernel_factors(floquet_kernel(s1), 3)[0], np.eye(2).reshape(4) / 2)
 
 
 def test_step_superop_is_kick_sandwich():
     s = ModelSpec(J=0.7, g=1.1, h=0.2, T=2)
     kern = floquet_kernel(s)
-    S = kern.step_superop()
+    S = kernel_factors(kern, s.T)[2][0]  # the link of a step with no insertion
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     K = kick_matrix(s.g_eff)
     want = K @ rho @ K.conj().T
@@ -97,7 +97,9 @@ def test_impurity_scales_onsite_terms_only():
                     impurity=Impurity(alpha=0.5, beta=0.9))
     k_imp = floquet_kernel(imp, site_role="impurity_site")
     assert np.allclose(k_imp.kick, kick_matrix(0.5 * 1.1), atol=1e-14)
-    assert np.isclose(k_imp.h_eff, 0.5 * 0.35)
+    assert np.allclose(k_imp.field_phases,
+                       np.exp(-1j * 0.5 * 0.35 * (FOLDED_SIGMA - FOLDED_SIGMA_BAR)),
+                       atol=1e-14)
     # bulk kernel of the same spec is untouched
     k_bulk = floquet_kernel(imp)
     assert np.allclose(k_bulk.kick, floquet_kernel(base).kick, atol=1e-14)
@@ -116,8 +118,8 @@ def test_folded_kick_links_match_branch_product():
 @settings(max_examples=30, deadline=None)
 @given(st.floats(-3.0, 3.0))
 def test_kick_superop_preserves_trace(a):
-    s = ModelSpec(J=0.5, g=a, h=0.1, T=1)
-    S = floquet_kernel(s).step_superop()
+    s = ModelSpec(J=0.5, g=a, h=0.1, T=2)
+    S = kernel_factors(floquet_kernel(s), s.T)[2][0]
     rho = np.array([[0.6, 0.1j], [-0.1j, 0.4]])
     out = (S @ rho.reshape(4)).reshape(2, 2)
     assert np.isclose(np.trace(out), 1.0, atol=1e-12)

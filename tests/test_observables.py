@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from temporal_im.models import Impurity, ModelSpec, floquet_kernel, trotterize
 from temporal_im.influence import solve_im
-from temporal_im.observables import (Insertion, InsertionPlan, czz_plan,
+from temporal_im.observables import (Insertion, InsertionPlan,
                                      autocorrelator_series, entropy_series,
                                      quench_magnetization_series,
                                      temporal_contract)
 from temporal_im import oracles
+
+from helpers import czz_plan
 
 SZ = np.diag([1.0, -1.0])
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -49,7 +51,7 @@ def test_empty_plan_contracts_to_one():
 @pytest.mark.parametrize("spec", [
     SPEC,
     ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1),
-    ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1, trotter_order=1),
+    ModelSpec(J=0.08, g=0.045, h=0.03, T=3),  # an unsplit step of 0.1
 ])
 def test_contract_matches_dense_kernel_sum(spec):
     im = _im(spec)
@@ -179,21 +181,26 @@ PHASE_S = np.diag([1.0, 1j])
 PROJ_UP = np.diag([1.0, 0.0])
 
 
-@pytest.mark.parametrize("spec", [SPEC, trotterize(0.8, 0.45, 0.3, 0.3, 0.1)],
-                         ids=["floquet", "trotter"])
-@pytest.mark.parametrize("branch,ops", [
+# non-Hermitian pairs: swapping O and O^dag, or the two operators, shows
+LIST_ORDER_SPECS = pytest.mark.parametrize(
+    "spec", [SPEC, trotterize(0.8, 0.45, 0.3, 0.3, 0.1)], ids=["floquet", "trotter"])
+LIST_ORDER_OPS = pytest.mark.parametrize("branch,ops", [
     ("forward", (HADAMARD, PHASE_S)), ("backward", (HADAMARD, PHASE_S)),
     ("both", (PROJ_UP, HADAMARD))])
-def test_insertions_at_final_time_compose_in_list_order(spec, branch, ops):
-    """Two insertions at time T on one branch act in list order, as in the
-    chain ED; the reversed order gives a different value."""
+
+
+def _check_list_order(spec, time, branch, ops):
+    """Two insertions at ``time`` on one branch act in list order, as in the
+    chain ED; the reversed order gives a different value.  Before time T a
+    forward sigma^z at T reads the result out."""
     T = spec.T
     im = _im(spec, chi=64)
 
     def plan(first, second):
-        return InsertionPlan((Insertion(0, "forward", SZ),
-                              Insertion(T, branch, first),
-                              Insertion(T, branch, second)))
+        readout = [Insertion(T, "forward", SZ)] if time < T else []
+        return InsertionPlan([Insertion(0, "forward", SZ),
+                              Insertion(time, branch, first),
+                              Insertion(time, branch, second)] + readout)
     want = oracles.ed_chain_evolve(spec, 2 * T + 1, plan(*ops)).values[0]
     swapped = oracles.ed_chain_evolve(spec, 2 * T + 1, plan(*ops[::-1])).values[0]
     assert abs(want - swapped) > 1e-3
@@ -202,3 +209,16 @@ def test_insertions_at_final_time_compose_in_list_order(spec, branch, ops):
                                           plan(*ops))
     assert abs(got - want) < 1e-10
     assert abs(dense - want) < 1e-10
+
+
+@LIST_ORDER_SPECS
+@LIST_ORDER_OPS
+def test_insertions_at_final_time_compose_in_list_order(spec, branch, ops):
+    _check_list_order(spec, spec.T, branch, ops)
+
+
+@LIST_ORDER_SPECS
+@LIST_ORDER_OPS
+@pytest.mark.parametrize("time", [0, 1])
+def test_insertions_before_final_time_compose_in_list_order(spec, branch, ops, time):
+    _check_list_order(spec, time, branch, ops)

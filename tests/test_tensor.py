@@ -9,10 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
-                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, blas_threads,
-                                svd_truncate)
+                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, svd_truncate)
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from helpers import blas_threads
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 rng = np.random.default_rng(7)
 
@@ -116,26 +118,29 @@ def test_svd_fallback_to_gesvd(monkeypatch):
 
 
 def _fresh_python(code: str) -> str:
-    """Standard output of ``code`` run in a new interpreter on ``src/``."""
+    """Standard output of ``code`` run in a new interpreter on ``src/``,
+    with ``tests/`` importable too."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=SRC)).stdout
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join((SRC, TESTS)))).stdout
 
 
 _LAZY_PIN = """
 import json
 import numpy as np
 from temporal_im import tensor
-before = tensor.blas_threads()
+from helpers import blas_threads
+before = blas_threads()
 def failing_svd(*args, **kwargs):
     raise np.linalg.LinAlgError("SVD did not converge")
 real_svd = np.linalg.svd
 np.linalg.svd = failing_svd
 with tensor.one_blas_thread():
     tensor.svd_truncate(np.eye(3) + 0.5j, chi_max=3)
-    inside = tensor.blas_threads()
+    inside = blas_threads()
 np.linalg.svd = real_svd
-print(json.dumps([before, inside, tensor.blas_threads()]))
+print(json.dumps([before, inside, blas_threads()]))
 """
 
 
