@@ -3,8 +3,10 @@
 The IM of a semi-infinite homogeneous chain is the eigenvector (eigenvalue
 1) of the dual transfer matrix that adds one more spin to the environment.
 Because the circuit has a strict light cone, power iteration from any
-product boundary state lands on that eigenvector after at most T
-applications; no eigensolver is involved.
+product boundary state lands on that eigenvector after ceil(T/2)
+applications at infinite temperature (gates outside both the forward and
+the backward cone cancel) and after T from a polarized state, where only
+the backward cone does; no eigensolver is involved.
 
 Conventions.  An IM is a vector over the folded z-trajectory of the site it
 faces and includes the interaction phases on the bond linking that site to
@@ -354,18 +356,19 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
 
     Per-iteration diagnostics (overlap deficit, norm drift, bond entropy
     profile with its max and half-cut values, max bond, discarded weight)
-    are collected on the returned object.  The light cone guarantees
-    convergence after at most T iterations; drift above ``drift_limit``
-    past that horizon means truncation has destabilized the iteration and
-    raises.  ``cutoff=0`` keeps every nonzero Schmidt value up to chi_max
-    per bond (small ones matter near the continuous-time limit).  The
-    iteration runs in the real basis on float64; the returned IM is in the
-    folded z basis.  A slice without the branch-swap symmetry raises
-    ``BranchSymmetryError``.
+    are collected on the returned object.  ``max_iters`` defaults to the
+    light-cone count n_lc (ceil(T/2), or T from a polarized state) plus 2;
+    drift above ``drift_limit`` from iteration n_lc on means truncation has
+    destabilized the iteration and raises.  ``cutoff=0`` keeps every
+    nonzero Schmidt value up to chi_max per bond (small ones matter near the
+    continuous-time limit).  The iteration runs in the real basis on
+    float64; the returned IM is in the folded z basis.  A slice without the
+    branch-swap symmetry raises ``BranchSymmetryError``.
     """
     T = spec.T
+    n_lc = (T + 1) // 2 if spec.initial_state == "infinite_temperature" else T
     if max_iters is None:
-        max_iters = T + 2
+        max_iters = n_lc + 2
     step = _real_slice(spec)
     psi, phase = _real_mps(boundary_mps(boundary, T))
     diag: Dict[str, list] = {k: [] for k in
@@ -386,7 +389,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
         diag["discarded_weight"].append(r.discarded_weight)
         _record_entropies(diag, new, r.entropies)
         psi, prev_log, iters = new, log_norm, it
-        if it >= T and drift > drift_limit:
+        if it >= n_lc and drift > drift_limit:
             raise NumericalInstabilityError(
                 f"norm drift {drift:.3g} at iteration {it} (limit {drift_limit})")
         if deficit < tol:

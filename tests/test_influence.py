@@ -64,11 +64,68 @@ def test_solve_im_reaches_dense_fixed_point():
 
 
 def test_solve_im_converges_within_horizon():
-    # strict light cone: T applications from a product boundary suffice
+    # infinite temperature: ceil(T/2) applications reach the fixed point,
+    # one more sees a zero deficit
     spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=5)
     im = solve_im(spec, chi_max=512, cutoff=0.0)
     assert im.converged
-    assert im.iterations_applied <= spec.T + 1
+    assert im.iterations_applied <= (spec.T + 1) // 2 + 1
+
+
+LIGHT_CONE_SPECS = {
+    "floquet": dict(J=0.8, g=0.7236, h=0.6472),
+    "trotter": dict(J=0.8, g=0.45, h=0.3, eps=0.3),
+    "dtc": dict(J=1.0, g=math.pi / 2 - 0.13, h=0.3, disorder="uniform_J_0_2pi"),
+}
+
+
+def _exact_iterate(spec, boundary, n):
+    """The untruncated power iterate after n applications, as a unit vector.
+    tol = -inf: once exact, round-off can make the deficit negative."""
+    im = solve_im(spec, boundary, chi_max=4 ** (spec.T // 2 + 1), cutoff=0.0,
+                  tol=-math.inf, max_iters=n)
+    assert im.iterations_applied == n
+    v = im.psi.dense()
+    return v / np.linalg.norm(v)
+
+
+def _gap(a, b):
+    """Distance between two unit vectors, up to a global phase."""
+    ph = np.vdot(a, b)
+    return np.linalg.norm(a * (ph / abs(ph)) - b)
+
+
+@pytest.mark.parametrize("T", [5, 6, 7])
+@pytest.mark.parametrize("boundary", BOUNDARY_KINDS)
+@pytest.mark.parametrize("kind", sorted(LIGHT_CONE_SPECS))
+def test_exact_fixed_point_at_light_cone(kind, boundary, T):
+    """The horizon behind solve_im's default budget: the untruncated iterate
+    is exact after ceil(T/2) applications at infinite temperature, and from
+    a polarized environment after T but not after ceil(T/2)."""
+    n_lc = (T + 1) // 2
+    spec = ModelSpec(T=T, **LIGHT_CONE_SPECS[kind])
+    final = _exact_iterate(spec, boundary, T + 2)
+    assert _gap(_exact_iterate(spec, boundary, n_lc), final) < 1e-12
+    if kind == "floquet":  # the horizon is tight for the generic spec
+        assert _gap(_exact_iterate(spec, boundary, n_lc - 1), final) > 1e-3
+    pol = ModelSpec(T=T, initial_state="z_polarized_up", **LIGHT_CONE_SPECS[kind])
+    final = _exact_iterate(pol, boundary, T + 2)
+    assert _gap(_exact_iterate(pol, boundary, T), final) < 1e-12
+    if pol.disorder is None:  # the average can close the cone sooner
+        assert _gap(_exact_iterate(pol, boundary, n_lc), final) > 1e-6
+
+
+def test_drift_guard_starts_at_light_cone():
+    """Truncated fig2-point solve: the norm drifts by more than the limit
+    from the first iteration on, and the guard raises at ceil(T/2)."""
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=9)
+    n_lc, limit = 5, 1e-2
+    free = solve_im(spec, chi_max=8, cutoff=1e-12, max_iters=n_lc,
+                    drift_limit=math.inf)
+    assert min(free.diagnostics["drift"]) > limit
+    with pytest.raises(NumericalInstabilityError,
+                       match=f"at iteration {n_lc} "):
+        solve_im(spec, chi_max=8, cutoff=1e-12, drift_limit=limit)
 
 
 def test_solve_im_g0_closed_form():
