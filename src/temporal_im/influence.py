@@ -100,9 +100,9 @@ def _column_chain(spec: ModelSpec, P: np.ndarray) -> TemporalMpo:
     mid = np.zeros((4, 4, 4, 4), dtype=complex)
     for b in range(4):
         mid[b, :, rng4, rng4] = (P * link[None, :, b]).T
+    mid.setflags(write=False)  # every interior site holds this one array
     tail = np.einsum("xy,yb->bxy", P * _TRACE_MASK[None, :], link)[..., None]
-    tensors = [head] + [mid.copy() for _ in range(T - 2)] + [tail]
-    return TemporalMpo(tensors)
+    return TemporalMpo([head] + [mid] * (T - 2) + [tail])
 
 
 # ------------------------------------------------------------- disorder slice
@@ -212,14 +212,17 @@ def _real_mpo(op: TemporalMpo, bond_perm) -> TemporalMpo:
     extent n.  V^dagger goes on the output and left-bond legs, V on the
     input and right-bond legs, so the MPO product is unchanged."""
     V = _real_basis(_BRANCH_SWAP)
-    out = []
+    rotated: Dict[int, np.ndarray] = {}  # by id: a shared tensor is rotated once
     for k, W in enumerate(op.tensors):
-        L = _real_basis(bond_perm(W.shape[0]))
-        R = _real_basis(bond_perm(W.shape[3]))
-        for M in (L.conj(), V.conj(), V, R):  # each leg in turn, moved last
-            W = np.tensordot(W, M, axes=(0, 0))
-        out.append(_real(W, f"slice tensor {k}"))
-    return TemporalMpo(out)
+        if id(W) not in rotated:
+            L = _real_basis(bond_perm(W.shape[0]))
+            R = _real_basis(bond_perm(W.shape[3]))
+            Wr = W
+            for M in (L.conj(), V.conj(), V, R):  # each leg in turn, moved last
+                Wr = np.tensordot(Wr, M, axes=(0, 0))
+            rotated[id(W)] = Wr = _real(Wr, f"slice tensor {k}")
+            Wr.setflags(write=False)
+    return TemporalMpo([rotated[id(W)] for W in op.tensors])
 
 
 def _real_mps(psi: TemporalMps):

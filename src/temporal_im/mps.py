@@ -11,6 +11,7 @@ the eigenvalue drift of the power iteration observable.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, List, Optional, Union
@@ -86,18 +87,20 @@ def canonicalize(psi: TemporalMps, center: int) -> TemporalMps:
     T = psi.T
     if not 0 <= center < T:
         raise ValueError(f"center {center} outside chain of length {T}")
-    tensors = [t.copy() for t in psi.tensors]
+    tensors = list(psi.tensors)  # entries are replaced, never written into
     norm_log = psi.norm_log
     for i in range(center):
         chi_l, _, chi_r = tensors[i].shape
         q, r = np.linalg.qr(tensors[i].reshape(chi_l * 4, chi_r))
         tensors[i] = q.reshape(chi_l, 4, -1)
-        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
+        tensors[i + 1] = np.dot(r, tensors[i + 1].reshape(chi_r, -1)).reshape(len(r), 4, -1)
     for i in range(T - 1, center, -1):
         chi_l, _, chi_r = tensors[i].shape
         q, r = np.linalg.qr(tensors[i].reshape(chi_l, 4 * chi_r).conj().T)
         tensors[i] = q.conj().T.reshape(-1, 4, chi_r)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], r.conj().T, axes=(2, 0))
+        cl = tensors[i - 1].shape[0]
+        tensors[i - 1] = np.dot(tensors[i - 1].reshape(cl * 4, chi_l),
+                                r.conj().T).reshape(cl, 4, -1)
     nrm = float(np.linalg.norm(tensors[center]))
     if nrm > 0.0:
         tensors[center] = tensors[center] / nrm
@@ -111,8 +114,9 @@ def overlap(a: TemporalMps, b: TemporalMps) -> complex:
         raise ValueError(f"length mismatch: {a.T} vs {b.T}")
     env = np.ones((1, 1), dtype=complex)
     for ta, tb in zip(a.tensors, b.tensors):
-        env = np.tensordot(env, tb, axes=(1, 0))          # (ca, p, cb')
-        env = np.tensordot(ta.conj(), env, axes=([0, 1], [0, 1]))  # (ca', cb')
+        env = np.dot(env, tb.reshape(len(tb), -1))                  # (ca, p cb')
+        bra = ta.conj().transpose(2, 0, 1).reshape(ta.shape[2], -1)  # (ca', ca p)
+        env = np.dot(bra, env.reshape(-1, tb.shape[2]))             # (ca', cb')
     return complex(env[0, 0]) * np.exp(a.norm_log + b.norm_log)
 
 
@@ -124,7 +128,7 @@ def _schmidt_entropy(s: np.ndarray) -> float:
     """Von Neumann entropy (natural log) of singular values ``s``, taken
     after normalising them so their squares sum to 1."""
     s = np.asarray(s, dtype=float)
-    nrm = np.linalg.norm(s)
+    nrm = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
     lam = s / nrm if nrm > 0 else s
     w = lam ** 2
     w = w[w > 1e-300]
@@ -196,17 +200,20 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     for i in range(T):
         A = psi.tensors[i]
         W = op.tensors[i]
-        tmp = np.tensordot(zipper, A, axes=(2, 0))       # (c, wl, pin, ar)
-        theta = np.tensordot(tmp, W, axes=([1, 2], [0, 2]))  # (c, ar, pout, wr)
-        theta = theta.transpose(0, 2, 3, 1)              # (c, pout, wr, ar)
-        c, _, wr, ar = theta.shape
+        (c, wl, al), ar, wr = zipper.shape, A.shape[2], W.shape[3]
+        # plain matrix products on the operand layouts np.tensordot builds,
+        # so the rounding is tensordot's
+        tmp = np.dot(zipper.reshape(c * wl, al), A.reshape(al, 4 * ar))  # (c wl, pin ar)
+        tmp = tmp.reshape(c, wl, 4, ar).transpose(0, 3, 1, 2).reshape(c * ar, wl * 4)
+        theta = np.dot(tmp, W.transpose(0, 2, 1, 3).reshape(wl * 4, 4 * wr))
+        theta = theta.reshape(c, ar, 4, wr).transpose(0, 2, 3, 1)  # (c, pout, wr, ar)
         if i == T - 1:
             out.append(theta.reshape(c, 4, wr * ar))
             break
         u, s, vh, frac = _truncate_event(theta.reshape(c * 4, wr * ar), chi_max, cutoff)
         discarded += frac
         out.append(u.reshape(c, 4, -1))
-        sn = float(np.linalg.norm(s))
+        sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
         if sn > 0:
             norm_log += np.log(sn)
             s = s / sn
@@ -219,11 +226,12 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         discarded += frac
         entropies[i - 1] = _schmidt_entropy(s)
         out[i] = vh.reshape(-1, 4, chi_r)
-        sn = float(np.linalg.norm(s))
+        sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
         if sn > 0:
             norm_log += np.log(sn)
             s = s / sn
-        out[i - 1] = np.tensordot(out[i - 1], u * s[None, :], axes=(2, 0))
+        cl = out[i - 1].shape[0]
+        out[i - 1] = np.dot(out[i - 1].reshape(cl * 4, chi_l), u * s[None, :]).reshape(cl, 4, -1)
     return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),
                        discarded, entropies)
 

@@ -153,7 +153,7 @@ def _env_step(E: np.ndarray, link: np.ndarray, dh: np.ndarray,
     Batched matmuls over the folded index keep this on BLAS.
     """
     At = A.transpose(1, 0, 2)
-    tmp = np.tensordot(E, link.T * dh[None, :], axes=(2, 0))     # (a, b, p)
+    tmp = np.dot(E.reshape(-1, 4), link.T * dh[None, :]).reshape(E.shape)  # (a, b, p)
     t2 = tmp.transpose(2, 1, 0) @ At                             # (p, b, l)
     return (t2.transpose(0, 2, 1) @ At).transpose(1, 2, 0)
 
@@ -224,7 +224,7 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
         R = rights[t + 1]
         t1 = A[t].transpose(1, 0, 2) @ R.transpose(2, 0, 1)   # (p, a, r)
         tmp = (t1 @ A[t].transpose(1, 2, 0)).transpose(1, 2, 0)  # (a, b, p)
-        rights[t] = np.tensordot(tmp, links[t - 1] * dh[:, None], axes=(2, 0))
+        rights[t] = np.dot(tmp.reshape(-1, 4), links[t - 1] * dh[:, None]).reshape(tmp.shape)
 
     log_scale = 2 * psi.norm_log
     out = np.empty(T, dtype=complex)

@@ -83,6 +83,8 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors
         while 0 < keep < len(s) and s[keep] >= s[keep - 1] * (1.0 - _MULTIPLET_RTOL):
             keep += 1
     keep = min(keep, chi_max)
+    if keep == len(s):  # nothing dropped: the factors are fresh and contiguous
+        return SvdFactors(u, s, vh, 0.0)
     w = float(np.sum(s[keep:] ** 2))
     return SvdFactors(np.ascontiguousarray(u[:, :keep]), s[:keep].copy(),
                       np.ascontiguousarray(vh[:keep]), w)

@@ -2,9 +2,12 @@
 import io
 from typing import Tuple
 
+import numpy as np
+
 from temporal_im.influence import InfluenceMatrix, save_checkpoint
+from temporal_im.mps import TemporalMpo, TemporalMps, ZipupResult
 from temporal_im.observables import Insertion, InsertionPlan
-from temporal_im.tensor import _openblas_libs
+from temporal_im.tensor import _openblas_libs, svd_truncate
 
 
 def checkpoint_bytes(im: InfluenceMatrix) -> bytes:
@@ -23,3 +26,65 @@ def czz_plan(T: int) -> InsertionPlan:
 def blas_threads() -> Tuple[int, ...]:
     """Current thread count of each loaded OpenBLAS; empty if none is found."""
     return tuple(get() for get, _ in _openblas_libs().values())
+
+
+# ---- np.tensordot references of the contraction kernels in ``mps``; the
+# kernels must match them bit for bit
+
+def overlap_tensordot(a: TemporalMps, b: TemporalMps) -> complex:
+    env = np.ones((1, 1), dtype=complex)
+    for ta, tb in zip(a.tensors, b.tensors):
+        env = np.tensordot(env, tb, axes=(1, 0))
+        env = np.tensordot(ta.conj(), env, axes=([0, 1], [0, 1]))
+    return complex(env[0, 0]) * np.exp(a.norm_log + b.norm_log)
+
+
+def _entropy_ref(s: np.ndarray) -> float:
+    nrm = np.linalg.norm(s)
+    lam = s / nrm if nrm > 0 else s
+    w = lam ** 2
+    w = w[w > 1e-300]
+    return float(-np.sum(w * np.log(w)))
+
+
+def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
+                    cutoff: float = 0.0) -> ZipupResult:
+    """``apply_mpo_zipup`` written with np.tensordot and np.linalg.norm."""
+    T, norm_log, discarded, out = psi.T, psi.norm_log, 0.0, []
+
+    def event(m):
+        u, s, vh, w = svd_truncate(m, chi_max, cutoff)
+        total = float(np.sum(s ** 2)) + w
+        nonlocal discarded
+        discarded += w / total if total > 0 else 0.0
+        return u, s, vh
+
+    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    for i in range(T):
+        tmp = np.tensordot(zipper, psi.tensors[i], axes=(2, 0))
+        theta = np.tensordot(tmp, op.tensors[i], axes=([1, 2], [0, 2]))
+        theta = theta.transpose(0, 2, 3, 1)
+        c, _, wr, ar = theta.shape
+        if i == T - 1:
+            out.append(theta.reshape(c, 4, wr * ar))
+            break
+        u, s, vh = event(theta.reshape(c * 4, wr * ar))
+        out.append(u.reshape(c, 4, -1))
+        sn = float(np.linalg.norm(s))
+        if sn > 0:
+            norm_log += np.log(sn)
+            s = s / sn
+        zipper = (s[:, None] * vh).reshape(-1, wr, ar)
+    entropies = [0.0] * (T - 1)
+    for i in range(T - 1, 0, -1):
+        chi_l, _, chi_r = out[i].shape
+        u, s, vh = event(out[i].reshape(chi_l, 4 * chi_r))
+        entropies[i - 1] = _entropy_ref(s)
+        out[i] = vh.reshape(-1, 4, chi_r)
+        sn = float(np.linalg.norm(s))
+        if sn > 0:
+            norm_log += np.log(sn)
+            s = s / sn
+        out[i - 1] = np.tensordot(out[i - 1], u * s[None, :], axes=(2, 0))
+    return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),
+                       discarded, entropies)

@@ -18,11 +18,21 @@ commit, from the root of a checkout::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and quotes the per-column maxima this test prints on failure.
+and quotes the per-column maxima this test prints on failure.  A change that
+must move no value checks that it moves no byte either::
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+regenerates every config into a temporary directory, compares each file
+with ``tests/golden/`` byte for byte, prints ``identical`` or ``moved`` per
+file (a file on one side only counts as moved) and exits 1 on any move.
 """
+import filecmp
 import json
 import math
 import os
+import sys
+import tempfile
 
 import pytest
 
@@ -123,10 +133,11 @@ def test_golden_outputs(tmp_path, name):
     assert not over, f"{name} moved beyond its bounds: {over}"
 
 
-def regenerate() -> None:
-    """Rewrite every golden CSV and ``solves.json`` from the current code."""
+def regenerate(root: str = GOLDEN) -> None:
+    """Write every golden CSV and ``solves.json`` from the current code into
+    ``root``, one directory per config, replacing what is there."""
     for name in CONFIGS:
-        out = os.path.join(GOLDEN, name)
+        out = os.path.join(root, name)
         for old in os.listdir(out) if os.path.isdir(out) else ():
             os.unlink(os.path.join(out, old))
         man = _run(name, out)
@@ -136,5 +147,26 @@ def regenerate() -> None:
             f.write("\n")
 
 
+def check() -> int:
+    """Regenerate into a temporary directory and compare bytes with the
+    stored files; 0 when every file is identical, else 1."""
+    moved = 0
+    with tempfile.TemporaryDirectory() as root:
+        regenerate(root)
+        for name in CONFIGS:
+            new_dir, old_dir = os.path.join(root, name), os.path.join(GOLDEN, name)
+            for fname in sorted(set(os.listdir(new_dir)) | set(os.listdir(old_dir))):
+                new, old = os.path.join(new_dir, fname), os.path.join(old_dir, fname)
+                same = (os.path.isfile(new) and os.path.isfile(old)
+                        and filecmp.cmp(new, old, shallow=False))
+                moved += not same
+                print(f"{name}/{fname}: {'identical' if same else 'moved'}")
+    return 1 if moved else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
     regenerate()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from temporal_im import influence
-from temporal_im.models import Impurity, ModelSpec
+from temporal_im.models import Impurity, ModelSpec, floquet_kernel
 from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
                                    InfluenceMatrix, NumericalInstabilityError,
                                    _BRANCH_SWAP, _charge_bond, _folded_bond,
@@ -21,6 +21,7 @@ from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
+from temporal_im.observables import temporal_contract
 
 from helpers import checkpoint_bytes
 
@@ -290,6 +291,37 @@ def test_slices_are_real_in_the_real_basis(mpo, bond):
     U = functools.reduce(np.kron, [_real_basis(_BRANCH_SWAP)] * mpo.T)
     back = U @ real.dense() @ U.conj().T
     assert np.max(np.abs(back - mpo.dense())) < 1e-14
+
+
+@pytest.mark.parametrize("spec", [SPEC_QUENCH, SPEC_DTC], ids=["clean", "disorder"])
+def test_slice_tensors_are_shared_and_read_only(spec):
+    # the interior sites hold one array, folded and rotated once; a write
+    # into it would reach every site at once, so it raises
+    T = spec.T
+    folded = (build_transfer_slice(spec) if spec.disorder is None
+              else build_disorder_slice(spec).weights)
+    real = _real_slice(spec)
+    real_ops = [real.op] if spec.disorder is None else [real.weights, real.constraint]
+    assert folded.tensors[1] is folded.tensors[T - 2]
+    assert real_ops[0].tensors[1] is real_ops[0].tensors[T - 2]
+    for mpo in [folded] + real_ops:
+        for W in mpo.tensors[1:T - 1]:
+            with pytest.raises(ValueError, match="read-only"):
+                W[0, 0, 0, 0] = 1.0
+
+
+def test_normalize_trace_removes_a_global_phase():
+    # every solve ends with a trace real to round-off, so the golden files
+    # cannot see the phase line of _normalize_trace; a phase put on by hand
+    # must come off again.  The contraction is bilinear in the IM: e^{0.7i}
+    # on one tensor turns the trace into e^{1.4i}, which rescaling the norm
+    # alone leaves in place.
+    im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
+    kern = floquet_kernel(im.spec)
+    im.psi.tensors[0] = im.psi.tensors[0] * np.exp(0.7j)
+    assert abs(temporal_contract(im, kern) - np.exp(1.4j)) < 1e-12
+    _normalize_trace(im)
+    assert abs(temporal_contract(im, kern) - (1.0 + 0.0j)) < 1e-12
 
 
 def test_asymmetric_slice_raises(monkeypatch):

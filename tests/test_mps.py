@@ -8,6 +8,8 @@ from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, load_mps, mps_norm,
                              overlap, product_mps, save_mps)
 
+from helpers import overlap_tensordot, zipup_tensordot
+
 rng = np.random.default_rng(11)
 
 
@@ -136,6 +138,51 @@ def test_zipup_entropies_match_entropy_profile(chi_max, cutoff):
     assert len(res.entropies) == 5
     assert max(want) > 0.5
     assert np.max(np.abs(np.asarray(res.entropies) - want)) < 1e-12
+
+
+def _real_part(x):
+    if isinstance(x, TemporalMps):
+        return TemporalMps([t.real.copy() for t in x.tensors], x.norm_log)
+    return TemporalMpo([t.real.copy() for t in x.tensors])
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("case", ["shared", "capped", "fortran"])
+def test_zipup_is_bitwise_the_tensordot_zipup(case, real):
+    # "shared": interior sites hold one tensor, as in a transfer slice;
+    # "capped": chi_max truncates every bond of the left-to-right sweep;
+    # "fortran": operands in another memory layout than the kernel's
+    T = 6
+    psi, op = random_mps(T, 5), random_mpo(T, 3)
+    psi.norm_log = 0.37
+    if case == "shared":
+        op.tensors = op.tensors[:1] + [op.tensors[1]] * (T - 2) + op.tensors[-1:]
+    if case == "fortran":
+        psi.tensors = [np.asfortranarray(t) for t in psi.tensors]
+        op.tensors = [np.asfortranarray(t) for t in op.tensors]
+    if real:
+        psi, op = _real_part(psi), _real_part(op)
+    chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
+    got = apply_mpo_zipup(op, psi, chi_max, cutoff)
+    want = zipup_tensordot(op, psi, chi_max, cutoff)
+    assert (got.psi.max_bond() == 4) == (case == "capped")
+    assert len(got.psi.tensors) == len(want.psi.tensors) == T
+    for a, b in zip(got.psi.tensors, want.psi.tensors):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.psi.norm_log == want.psi.norm_log
+    assert got.discarded_weight == want.discarded_weight
+    assert (got.discarded_weight > 0) == (case == "capped")
+    assert got.entropies == want.entropies
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_overlap_is_bitwise_the_tensordot_overlap(real):
+    a, b = random_mps(5, 4), random_mps(5, 6)
+    a.norm_log, b.norm_log = 0.25, -1.5
+    if real:
+        a, b = _real_part(a), _real_part(b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert overlap(x, y) == overlap_tensordot(x, y)
 
 
 def test_zipup_single_site_has_no_bonds():
