@@ -8,26 +8,24 @@ __version__ = "0.1.0"
 from .models import Impurity, ModelSpec, floquet_kernel, trotterize
 from .influence import (InfluenceMatrix, NumericalInstabilityError,
                         build_disorder_slice, build_transfer_slice,
-                        impurity_im, load_checkpoint, save_checkpoint,
-                        solve_im)
+                        impurity_im, solve_im)
 from .observables import (Insertion, InsertionPlan, ResultSeries,
                           autocorrelator_series, entropy_series,
                           quench_magnetization_series, temporal_contract)
 from .oracles import (ResourceLimitError, binary_entropy_formula,
                       dicke_entropy, ed_chain_evolve,
                       ed_disorder_monte_carlo, g0_schmidt_entropy, im_g0)
-from .mps import TemporalMps, entropy_profile, load_mps, save_mps
+from .mps import TemporalMps, entropy_profile
 
 __all__ = [
     "__version__",
     "Impurity", "ModelSpec", "floquet_kernel", "trotterize",
     "InfluenceMatrix", "NumericalInstabilityError", "build_disorder_slice",
-    "build_transfer_slice", "impurity_im", "load_checkpoint",
-    "save_checkpoint", "solve_im",
+    "build_transfer_slice", "impurity_im", "solve_im",
     "Insertion", "InsertionPlan", "ResultSeries", "autocorrelator_series",
     "entropy_series", "quench_magnetization_series", "temporal_contract",
     "ResourceLimitError", "binary_entropy_formula", "dicke_entropy",
     "ed_chain_evolve", "ed_disorder_monte_carlo", "g0_schmidt_entropy",
     "im_g0",
-    "TemporalMps", "entropy_profile", "load_mps", "save_mps",
+    "TemporalMps", "entropy_profile",
 ]

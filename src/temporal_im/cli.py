@@ -1,5 +1,5 @@
 """Command-line front end: config-driven experiment runs, CSV emission,
-checkpoint-friendly manifests, and a dense-vs-MPS cross-check battery.
+run manifests, and a dense-vs-MPS cross-check battery.
 
 Configs are flat ``key = value`` text with ``#`` comments.  Every run writes
 one CSV per (experiment, chi[, boundary]) plus ``run_manifest.json``.  CSVs
@@ -141,6 +141,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"experiment {exp!r} requires key {need!r}")
     if exp in ("dtc", "entropy-scan") and "eps" in raw:
         raise ConfigError(f"experiment {exp!r} does not read 'eps'")
+    for key in ("t", "eps_list", "T_list"):
+        if exp != "entropy-scan" and key in raw:
+            raise ConfigError(f"experiment {exp!r} does not read {key!r}")
     if exp == "entropy-scan":
         if ("eps_list" in raw) == ("T_list" in raw):
             raise ConfigError("entropy-scan needs exactly one of eps_list, T_list")
@@ -148,9 +151,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("entropy-scan over eps_list needs fixed t")
         if "eps_list" in raw and not all(k in raw for k in ("J", "g", "h")):
             raise ConfigError("entropy-scan over eps_list needs J, g, h")
-        if "T_list" in raw and "eps_kick" not in raw and not all(
-                k in raw for k in ("J", "g", "h")):
-            raise ConfigError("entropy-scan over T_list needs J, g, h or eps_kick")
+        if "T_list" in raw and not ("h" in raw and (
+                "eps_kick" in raw or all(k in raw for k in ("J", "g")))):
+            raise ConfigError("entropy-scan over T_list needs h and either "
+                              "eps_kick or J, g")
     _check_ranges(exp, raw)
     return ExperimentConfig(exp, raw)
 

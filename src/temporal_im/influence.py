@@ -18,25 +18,18 @@ the probed site.
 """
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from .models import Impurity, ModelSpec, floquet_kernel, folded_kick_links
+from .models import ModelSpec, floquet_kernel, folded_kick_links
 from .mps import (TemporalMps, TemporalMpo, ZipupResult, apply_mpo_zipup,
-                  canonicalize, load_mps, mps_norm, overlap, product_mps,
-                  save_mps)
+                  canonicalize, mps_norm, overlap, product_mps)
 from .mps import entropy_profile  # noqa: F401  unused here; imbench/tracing.py wraps it
 from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
 
 BOUNDARY_KINDS = ("open", "perfect_dephaser")
-
-_CKPT_MAGIC = b"TIMC"
-_CKPT_VERSION = 2
-_CKPT_READABLE = (1, 2)  # v1 headers also carry a "side" label, ignored
 
 _TRACE_MASK = (FOLDED_FWD == FOLDED_BWD).astype(complex)  # [1,0,0,1]
 # bond charge sigma_x sigma_y - sigmabar_x sigmabar_y, in {-2, 0, 2}
@@ -279,12 +272,8 @@ def _real_slice(spec: ModelSpec, bond_coupling: Optional[float] = None
 class InfluenceMatrix:
     psi: TemporalMps
     spec: ModelSpec
-    boundary: str
-    chi_max: int
-    cutoff: float
     iterations_applied: int
     converged: bool
-    eigenvalue_drift: float          # |log| norm change of the last iteration
     diagnostics: Dict[str, list] = field(default_factory=dict)
 
     @property
@@ -325,11 +314,11 @@ def _overlap_deficit(a: TemporalMps, b: TemporalMps) -> float:
 
 def _record_entropies(diag: Dict[str, list], psi: TemporalMps,
                       prof: List[float]) -> None:
-    """Entropy diagnostics of ``psi`` from its zip-up's bond entropies."""
-    half = prof[psi.T // 2 - 1] if len(prof) >= max(psi.T // 2, 1) and psi.T > 1 else 0.0
+    """Entropy diagnostics of ``psi`` from its zip-up's T - 1 bond entropies."""
     for key, val in (("entropy_profile", prof),
                      ("entropy_max", max(prof) if prof else 0.0),
-                     ("entropy_halfcut", half), ("max_bond", psi.max_bond())):
+                     ("entropy_halfcut", prof[psi.T // 2 - 1] if prof else 0.0),
+                     ("max_bond", psi.max_bond())):
         diag.setdefault(key, []).append(val)
 
 
@@ -378,7 +367,6 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
                              ("deficit", "drift", "entropy_profile", "entropy_max",
                               "entropy_halfcut", "max_bond", "discarded_weight")}
     prev_log = _log_norm(psi)
-    drift = float("inf")
     converged = False
     iters = 0
     for it in range(1, max_iters + 1):
@@ -399,9 +387,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
             converged = True
             break
     im = InfluenceMatrix(psi=_folded_mps(psi, phase), spec=spec,
-                         boundary=boundary, chi_max=chi_max,
-                         cutoff=cutoff, iterations_applied=iters,
-                         converged=converged, eigenvalue_drift=drift,
+                         iterations_applied=iters, converged=converged,
                          diagnostics=diag)
     _normalize_trace(im)
     return im
@@ -434,81 +420,7 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     }
     _record_entropies(diag, r.psi, r.entropies)
     im = InfluenceMatrix(psi=_folded_mps(r.psi, phase), spec=spec,
-                         boundary=base.boundary,
-                         chi_max=chi_max, cutoff=cutoff,
                          iterations_applied=base.iterations_applied + 1,
-                         converged=base.converged,
-                         eigenvalue_drift=base.eigenvalue_drift,
-                         diagnostics=diag)
+                         converged=base.converged, diagnostics=diag)
     _normalize_trace(im)
     return im
-
-
-# ------------------------------------------------------------------ on disk
-
-def _spec_header(spec: ModelSpec) -> dict:
-    imp = None if spec.impurity is None else {"beta": spec.impurity.beta}
-    return {"J": spec.J, "T": spec.T, "disorder": spec.disorder, "eps": spec.eps,
-            "g": spec.g, "h": spec.h, "impurity": imp,
-            "initial_state": spec.initial_state}
-
-
-def _spec_from_header(d: dict) -> ModelSpec:
-    # older headers carry "trotter_order"; only the split kick (2) is left
-    if d.get("trotter_order", 2) != 2:
-        raise ValueError(f"trotter_order {d['trotter_order']!r}: an unsplit step "
-                         "is the eps = 0 spec at angles scaled by eps")
-    imp = d.get("impurity")
-    return ModelSpec(J=d["J"], g=d["g"], h=d["h"], T=d["T"], eps=d["eps"],
-                     initial_state=d["initial_state"], disorder=d["disorder"],
-                     impurity=None if imp is None else Impurity(beta=imp["beta"]))
-
-
-def save_checkpoint(im: InfluenceMatrix, dest: Union[str, BinaryIO]) -> None:
-    """Checkpoint an IM: JSON header + the MPS container.
-
-    The header omits the impurity's alpha on purpose: the IM does not
-    depend on it, and the checkpoint bytes must not either.
-    """
-    if isinstance(dest, str):
-        with open(dest, "wb") as f:
-            save_checkpoint(im, f)
-        return
-    header = {"boundary": im.boundary, "chi_max": im.chi_max,
-              "converged": im.converged, "cutoff": im.cutoff,
-              "eigenvalue_drift": im.eigenvalue_drift,
-              "iterations": im.iterations_applied,
-              "spec": _spec_header(im.spec), "version": _CKPT_VERSION}
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    dest.write(_CKPT_MAGIC)
-    dest.write(struct.pack("<I", len(blob)))
-    dest.write(blob)
-    save_mps(im.psi, dest)
-
-
-def load_checkpoint(src: Union[str, BinaryIO]) -> InfluenceMatrix:
-    if isinstance(src, str):
-        with open(src, "rb") as f:
-            return load_checkpoint(f)
-    magic = src.read(4)
-    if magic != _CKPT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    try:
-        (n,) = struct.unpack("<I", src.read(4))
-        blob = src.read(n)
-        if len(blob) != n:
-            raise ValueError(f"checkpoint header cut at {len(blob)} of {n} bytes")
-        header = json.loads(blob.decode())
-        if header["version"] not in _CKPT_READABLE:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
-        spec = _spec_from_header(header["spec"])
-        psi = load_mps(src)
-        return InfluenceMatrix(psi=psi, spec=spec,
-                               boundary=header["boundary"], chi_max=header["chi_max"],
-                               cutoff=header["cutoff"],
-                               iterations_applied=header["iterations"],
-                               converged=header["converged"],
-                               eigenvalue_drift=header["eigenvalue_drift"])
-    except (AttributeError, KeyError, TypeError, OverflowError,
-            struct.error) as exc:
-        raise ValueError(f"malformed checkpoint: {exc!r}") from exc

@@ -12,16 +12,12 @@ the eigenvalue drift of the power iteration observable.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .tensor import svd_truncate
-
-_MPS_MAGIC = b"TIM1"
-_MPS_VERSION = 1
 
 
 @dataclass
@@ -234,43 +230,3 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         out[i - 1] = np.dot(out[i - 1].reshape(cl * 4, chi_l), u * s[None, :]).reshape(cl, 4, -1)
     return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),
                        discarded, entropies)
-
-
-# ---------------------------------------------------------------------------
-# binary serialization: magic, version, T, canonical_center (i32, -1 = none),
-# norm_log (f64), shape table (3 x u32 per site), then complex128 LE data.
-
-def save_mps(psi: TemporalMps, dest: Union[str, BinaryIO]) -> None:
-    if isinstance(dest, str):
-        with open(dest, "wb") as f:
-            save_mps(psi, f)
-        return
-    f = dest
-    f.write(_MPS_MAGIC)
-    cc = -1 if psi.canonical_center is None else psi.canonical_center
-    f.write(struct.pack("<IIi d", _MPS_VERSION, psi.T, cc, float(psi.norm_log)))
-    for t in psi.tensors:
-        f.write(struct.pack("<III", *t.shape))
-    for t in psi.tensors:
-        f.write(np.ascontiguousarray(t, dtype="<c16").tobytes())
-
-
-def load_mps(src: Union[str, BinaryIO]) -> TemporalMps:
-    if isinstance(src, str):
-        with open(src, "rb") as f:
-            return load_mps(f)
-    f = src
-    magic = f.read(4)
-    if magic != _MPS_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    ver, T, cc, norm_log = struct.unpack("<IIi d", f.read(struct.calcsize("<IIi d")))
-    if ver != _MPS_VERSION:
-        raise ValueError(f"unsupported version {ver}")
-    shapes = [struct.unpack("<III", f.read(12)) for _ in range(T)]
-    tensors = []
-    for shp in shapes:
-        n = shp[0] * shp[1] * shp[2]
-        buf = f.read(16 * n)
-        tensors.append(np.frombuffer(buf, dtype="<c16").reshape(shp).copy())
-    return TemporalMps(tensors, norm_log=norm_log,
-                       canonical_center=None if cc < 0 else cc)

@@ -1,20 +1,27 @@
 """Small helpers shared by test modules."""
-import io
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
 
-from temporal_im.influence import InfluenceMatrix, save_checkpoint
+from temporal_im.influence import InfluenceMatrix
 from temporal_im.mps import TemporalMpo, TemporalMps, ZipupResult
 from temporal_im.observables import Insertion, InsertionPlan
 from temporal_im.tensor import _openblas_libs, svd_truncate
 
 
-def checkpoint_bytes(im: InfluenceMatrix) -> bytes:
-    """The bytes ``save_checkpoint`` writes for ``im``."""
-    buf = io.BytesIO()
-    save_checkpoint(im, buf)
-    return buf.getvalue()
+def im_bits(im: InfluenceMatrix) -> tuple:
+    """Everything ``im`` holds, compared bit for bit when two results are
+    compared: each ``psi`` tensor's shape, dtype and bytes, ``norm_log``,
+    ``canonical_center``, the iteration count, ``converged``,
+    ``diagnostics`` and ``spec``.  The impurity's alpha is set to 0 in the
+    spec, since an IM does not depend on it."""
+    psi, spec = im.psi, im.spec
+    if spec.impurity is not None:
+        spec = replace(spec, impurity=replace(spec.impurity, alpha=0.0))
+    return ([(t.shape, t.dtype.str, t.tobytes()) for t in psi.tensors],
+            float(psi.norm_log).hex(), psi.canonical_center,
+            im.iterations_applied, im.converged, im.diagnostics, spec)
 
 
 def czz_plan(T: int) -> InsertionPlan:

@@ -20,7 +20,7 @@ from temporal_im.observables import (autocorrelator_series, entropy_series,
                                      temporal_contract)
 from temporal_im import oracles
 
-from helpers import checkpoint_bytes
+from helpers import im_bits
 
 FIG2 = dict(J=0.8, g=0.7236, h=0.6472)
 
@@ -166,15 +166,15 @@ def test_criterion_7_impurity_limits(capsys):
                                 cutoff=0.0, im_sink=REGISTRY)
     err_hom = float(np.max(np.abs(ser1.values - hom.values)))
 
-    blob = lambda alpha: checkpoint_bytes(solve_im(
+    bits = lambda alpha: im_bits(solve_im(
         ModelSpec(T=4, impurity=Impurity(alpha=alpha, beta=0.6), **FIG2),
         chi_max=32, cutoff=0.0))
-    bitwise = blob(0.2) == blob(1.4)
+    bitwise = bits(0.2) == bits(1.4)
     ok = err_beta0 < 1e-10 and err_hom < 1e-10 and bitwise
     _report(capsys, 7, ok,
             f"beta=0 vs isolated spin: {err_beta0:.2e}; alpha=beta=1 vs "
-            f"homogeneous: {err_hom:.2e}; checkpoints alpha-independent "
-            f"bitwise: {bitwise}")
+            f"homogeneous: {err_hom:.2e}; IMs alpha-independent bitwise: "
+            f"{bitwise}")
     assert err_beta0 < 1e-10
     assert err_hom < 1e-10
     assert bitwise

@@ -156,6 +156,11 @@ BAD_CONFIGS = [
      "experiment 'dtc' does not read 'eps'"),
     (TINY_SCAN + "T_list = 2,3\neps = 0.25\n",
      "experiment 'entropy-scan' does not read 'eps'"),
+    ("experiment = entropy-scan\nchi = 4\nT_list = 2\neps_kick = 0.1\n",
+     "needs h and either eps_kick or J, g"),
+    # the time grids belong to the entropy scan
+    (TINY_FLOQUET + "eps_list = 0.1\n", "experiment 'floquet-czz' does not read 'eps_list'"),
+    (TINY_QUENCH + "t = 0.4\n", "experiment 'quench' does not read 't'"),
 ]
 
 
@@ -333,6 +338,54 @@ def test_preserve_weak_bonds_means_cutoff_zero(tmp_path):
         csv[tag] = (tmp_path / tag / "hamiltonian-impurity_chi4.csv").read_bytes()
     assert csv["pwb"] == csv["zero"]
     assert csv["cut"] != csv["zero"]  # the cutoff it overrides does bite here
+
+
+SPY_CONFIGS = {
+    "floquet": TINY_FLOQUET,
+    "floquet-reuse": TINY_FLOQUET + "reuse_im = true\n",
+    "dtc": "experiment = dtc\neps_kick = 0.13\nh = 0.3\nT_max = 3\nchi = 4\n",
+    "quench": TINY_QUENCH.replace("t_max = 0.6", "t_max = 0.4"),
+    "impurity": TINY_IMPURITY.replace("t_max = 0.6", "t_max = 0.3"),
+    "entropy-scan": TINY_SCAN + "T_list = 2,3\n",
+}
+
+
+@pytest.mark.parametrize("weak", [False, True], ids=["cutoff", "preserve_weak_bonds"])
+@pytest.mark.parametrize("name", list(SPY_CONFIGS))
+def test_every_solve_gets_the_config_chi_and_cutoff(tmp_path, monkeypatch, name, weak):
+    """Every ``solve_im`` and ``impurity_im`` call of a run receives the
+    config's chi and cutoff, and cutoff 0 under ``preserve_weak_bonds``.
+    The golden files do not see this: on some workloads the cutoff moves
+    no value beyond round-off."""
+    import inspect
+    from temporal_im import influence, observables
+
+    calls = []
+
+    def spy(real):
+        sig = inspect.signature(real)
+
+        def wrapped(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append((real.__name__, bound.arguments["chi_max"],
+                          bound.arguments["cutoff"]))
+            return real(*args, **kwargs)
+        return wrapped
+
+    for fn in (influence.solve_im, influence.impurity_im):
+        monkeypatch.setattr(observables, fn.__name__, spy(fn))
+    text = "\n".join(line for line in SPY_CONFIGS[name].splitlines()
+                     if not line.startswith(("chi", "cutoff")))
+    text += "\nchi = 4,3\ncutoff = 1e-9\n"
+    if weak:
+        text += "preserve_weak_bonds = true\n"
+    cfgp = tmp_path / "spy.cfg"
+    cfgp.write_text(text)
+    assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "o")]) == 0
+    assert {chi for _, chi, _ in calls} == {4, 3}
+    assert {cut for _, _, cut in calls} == {0.0 if weak else 1e-9}
+    assert ("impurity_im" in {f for f, _, _ in calls}) == (name == "impurity")
 
 
 def test_bundled_configs_parse():

@@ -1,8 +1,5 @@
 import functools
-import io
-import json
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -16,14 +13,13 @@ from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
                                    _overlap_deficit, _real_basis, _real_mpo,
                                    _real_mps, _real_slice, boundary_mps,
                                    build_disorder_slice, build_transfer_slice,
-                                   impurity_im, load_checkpoint,
-                                   save_checkpoint, solve_im)
+                                   impurity_im, solve_im)
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
 from temporal_im.observables import temporal_contract
 
-from helpers import checkpoint_bytes
+from helpers import im_bits
 
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
 SPEC_TROT = ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1)
@@ -379,7 +375,7 @@ def _complex_path(spec, boundary="open", chi_max=64, cutoff=0.0, tol=1e-10):
         psi = new
         if done:
             break
-    im = InfluenceMatrix(psi, spec, boundary, chi_max, cutoff, 0, done, 0.0)
+    im = InfluenceMatrix(psi, spec, 0, done)
     _normalize_trace(im)
     return im
 
@@ -411,8 +407,7 @@ def test_real_impurity_slice_matches_complex_path():
     for phase in (1.0, np.exp(0.7j), -1.0, np.exp(2.5j), np.exp(-2.0j)):
         base.psi.tensors[0] = first * phase
         im = impurity_im(spec, base, chi_max=256, cutoff=0.0)
-        ref = InfluenceMatrix(apply_mpo_zipup(op, base.psi, 256).psi, spec,
-                              "open", 256, 0.0, 0, True, 0.0)
+        ref = InfluenceMatrix(apply_mpo_zipup(op, base.psi, 256).psi, spec, 0, True)
         _normalize_trace(ref)
         assert np.max(np.abs(im.psi.dense() - ref.psi.dense())) < 1e-12
 
@@ -433,98 +428,19 @@ def test_capped_stalled_solve_is_swap_symmetric():
     assert abs(_swap_defect(im.psi)) < 1e-14
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
-    p = tmp_path / "im.ckpt"
-    save_checkpoint(im, str(p))
-    back = load_checkpoint(str(p))
-    assert back.spec == SPEC_TROT
-    assert back.boundary == im.boundary
-    assert back.chi_max == im.chi_max
-    assert back.converged == im.converged
-    assert np.isclose(back.eigenvalue_drift, im.eigenvalue_drift)
-    assert np.array_equal(back.psi.dense(), im.psi.dense())
-
-
-def test_checkpoint_bytes_alpha_independent():
-    mk = lambda alpha: ModelSpec(J=0.3, g=0.5, h=0.2, T=3,
-                                 impurity=Impurity(alpha=alpha, beta=0.6))
-    a = checkpoint_bytes(solve_im(mk(0.25), chi_max=16, cutoff=0.0))
-    b = checkpoint_bytes(solve_im(mk(1.75), chi_max=16, cutoff=0.0))
-    assert a == b
-    # beta does enter: the converged environment knows its coupling
-    c = checkpoint_bytes(solve_im(
-        ModelSpec(J=0.3, g=0.5, h=0.2, T=3, impurity=Impurity(alpha=0.25, beta=0.9)),
-        chi_max=16, cutoff=0.0))
-    assert a != c
-
-
-def test_checkpoint_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_checkpoint(io.BytesIO(b"TIMXjunkjunkjunk"))
-
-
-def _ckpt_parts(blob):
-    """(header dict, MPS container bytes) of a checkpoint."""
-    (n,) = struct.unpack("<I", blob[4:8])
-    return json.loads(blob[8:8 + n]), blob[8 + n:]
-
-
-def _ckpt_blob(header, body):
-    h = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return b"TIMC" + struct.pack("<I", len(h)) + h + body
-
-
-def test_checkpoint_v2_header_has_no_side():
-    header, _ = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
-    assert header["version"] == 2
-    assert "side" not in header
-    assert "q" not in header["spec"]  # spin-1/2 is the only chain there is
-    assert "trotter_order" not in header["spec"]  # the kick is always split
-
-
-def test_checkpoint_reads_v1():
-    im = solve_im(SPEC_TROT, chi_max=32, cutoff=1e-12)
-    header, body = _ckpt_parts(checkpoint_bytes(im))
-    # old headers also carry a "q" and "trotter_order": 2 in their spec
-    v1 = _ckpt_blob(dict(header, version=1, side="left",
-                         spec=dict(header["spec"], q=2, trotter_order=2)), body)
-    back = load_checkpoint(io.BytesIO(v1))
-    assert back.spec == SPEC_TROT
-    assert back.psi.norm_log == im.psi.norm_log
-    assert len(back.psi.tensors) == len(im.psi.tensors)
-    assert all(np.array_equal(a, b) for a, b in zip(back.psi.tensors, im.psi.tensors))
-    # the v1 "side" label, "q" and "trotter_order" are dropped: saving
-    # again gives the v2 bytes
-    assert checkpoint_bytes(back) == checkpoint_bytes(im)
-
-
-def test_checkpoint_rejects_unknown_version():
-    header, body = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
-    with pytest.raises(ValueError, match="version 3"):
-        load_checkpoint(io.BytesIO(_ckpt_blob(dict(header, version=3), body)))
-
-
-def test_checkpoint_malformed_header_is_value_error():
-    """A header without its keys or with a spec the engine cannot build, or
-    a blob cut short, is a ValueError."""
-    empty = b"TIMC" + struct.pack("<I", 2) + b"{}"
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(io.BytesIO(empty))
-    header, body = _ckpt_parts(checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0)))
-    with pytest.raises(ValueError):  # a spec that is not an object
-        load_checkpoint(io.BytesIO(_ckpt_blob(dict(header, spec=5), body)))
-    # a first-order Trotter spec from an older header has no spec any more
-    first_order = dict(header, spec=dict(header["spec"], trotter_order=1))
-    with pytest.raises(ValueError, match="trotter_order 1"):
-        load_checkpoint(io.BytesIO(_ckpt_blob(first_order, body)))
-    del header["cutoff"]
-    with pytest.raises(ValueError, match="cutoff"):
-        load_checkpoint(io.BytesIO(_ckpt_blob(header, body)))
-    blob = checkpoint_bytes(solve_im(SPEC, chi_max=32, cutoff=0.0))
-    for cut in (6, 8 + 10):  # inside the length field, inside the header
-        with pytest.raises(ValueError):
-            load_checkpoint(io.BytesIO(blob[:cut]))
+def test_im_alpha_independent_bitwise():
+    mk = lambda alpha, beta=0.6: ModelSpec(
+        J=0.3, g=0.5, h=0.2, T=3, impurity=Impurity(alpha=alpha, beta=beta))
+    solve = lambda spec: solve_im(spec, chi_max=16, cutoff=0.0)
+    a, b = solve(mk(0.25)), solve(mk(1.75))
+    assert im_bits(a) == im_bits(b)
+    imp = lambda spec, base: impurity_im(spec, base, chi_max=16, cutoff=0.0)
+    assert im_bits(imp(mk(0.25), a)) == im_bits(imp(mk(1.75), b))
+    # beta does enter: the spec keeps it, and the impurity slice's bond
+    # carries it (the base solve is the homogeneous environment)
+    c = solve(mk(0.25, 0.9))
+    assert im_bits(a) != im_bits(c)
+    assert im_bits(imp(mk(0.25), a))[0] != im_bits(imp(mk(0.25, 0.9), c))[0]
 
 
 @pytest.mark.parametrize("spec,coupling", [

@@ -1,12 +1,10 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
-                             canonicalize, entropy_profile, load_mps, mps_norm,
-                             overlap, product_mps, save_mps)
+                             canonicalize, entropy_profile, mps_norm, overlap,
+                             product_mps)
 
 from helpers import overlap_tensordot, zipup_tensordot
 
@@ -39,12 +37,6 @@ def random_mpo(T, w):
 
 def identity_mpo(T):
     return TemporalMpo([np.eye(4, dtype=complex).reshape(1, 4, 4, 1)] * T)
-
-
-def mps_bytes(psi):
-    buf = io.BytesIO()
-    save_mps(psi, buf)
-    return buf.getvalue()
 
 
 def test_product_mps_dense():
@@ -196,30 +188,6 @@ def test_zipup_truncation_reports_weight():
     res = apply_mpo_zipup(op, psi, chi_max=6, cutoff=0.0)
     assert res.psi.max_bond() <= 6
     assert res.discarded_weight > 0.0
-
-
-def test_save_load_roundtrip(tmp_path):
-    psi = canonicalize(random_mps(4, 5), 0)
-    psi.norm_log = -2.25
-    p = tmp_path / "state.mps"
-    save_mps(psi, str(p))
-    back = load_mps(str(p))
-    assert back.T == psi.T
-    assert back.norm_log == psi.norm_log
-    assert back.canonical_center == psi.canonical_center
-    for a, b in zip(back.tensors, psi.tensors):
-        assert np.array_equal(a, b)
-
-
-def test_serialized_bytes_deterministic():
-    psi = random_mps(3, 4)
-    again = TemporalMps([t.copy() for t in psi.tensors], psi.norm_log)
-    assert mps_bytes(psi) == mps_bytes(again)
-
-
-def test_load_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_mps(io.BytesIO(b"not an mps at all"))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,19 +1,19 @@
 """Bad input fails with a typed error, never with a stray exception.
 
-``parse_config_text`` may only return a config or raise ``ConfigError``;
-``load_checkpoint`` may only return an IM or raise ``ValueError``, on
-arbitrary bytes and on valid checkpoints with bytes changed or cut off.
+``parse_config_text`` may only return a config or raise ``ConfigError``.
+``cli.main`` on a generated config file may only exit 0, 2, 3 or 4: on 0
+the manifest and every CSV it lists exist, on any other code no manifest
+is written.
 """
-import io
-import struct
+import json
+import os
+import tempfile
 
 from hypothesis import example, given, settings, strategies as st
 
-from temporal_im.cli import _KEYS, ConfigError, ExperimentConfig, parse_config_text
-from temporal_im.influence import InfluenceMatrix, load_checkpoint, solve_im
-from temporal_im.models import ModelSpec
-
-from helpers import checkpoint_bytes
+from temporal_im import cli
+from temporal_im.cli import (_KEYS, EXPERIMENTS, ConfigError, ExperimentConfig,
+                             parse_config_text)
 
 _VALUES = ("", ",", " , ", "0", "1", "-1", "2", "3,3", "1,2", "0.1", "-0.1",
            "0.04", "1e-12", "1e400", "nan", "-inf", "true", "no", "open",
@@ -37,37 +37,74 @@ def test_parse_config_raises_only_config_error(lines):
     assert isinstance(cfg, ExperimentConfig)
 
 
-_BLOB = checkpoint_bytes(solve_im(ModelSpec(J=0.31, g=0.57, h=0.23, T=3),
-                                  chi_max=8, cutoff=0.0))
+# small values every run can afford (T_max <= 4, chi <= 4, t_max and t at
+# most 4 steps of the smallest eps), and values most keys reject
+_SMALL = {
+    "J": ("0.8", "0", "-0.3"), "g": ("0.7236", "0", "1.5707963"),
+    "h": ("0.6472", "0", "0.3"), "eps": ("0.1", "0.2", "0"),
+    "eps_kick": ("0.13", "0"), "alpha": ("0.5", "0"), "beta": ("0.8", "0"),
+    "T_max": ("1", "2", "4"), "t_max": ("0.2", "0.4"),
+    "t": ("0.2", "0.4"), "chi": ("1", "4", "4,2"),
+    "eps_list": ("0.1", "0.2,0.1"), "T_list": ("1", "4,2"),
+    "cutoff": ("0", "1e-12", "0.5"),
+    "boundary": ("open", "perfect_dephaser", "open,perfect_dephaser"),
+    "preserve_weak_bonds": ("true", "no"), "reuse_im": ("true", "false"),
+    "seed": ("1", "99999999999999999999"), "out": ("elsewhere",),
+}
+_BAD = ("", "-1", "0", "nan", "1e400", "x", "1,1", "0.3333")
 
 
-def _load(blob: bytes) -> None:
-    try:
-        im = load_checkpoint(io.BytesIO(blob))
-    except ValueError:
-        return
-    assert isinstance(im, InfluenceMatrix)
+# the keys a run reads besides its required ones: an entropy scan reads
+# one of three sets, the other experiments read a few optional keys
+_FORMS = {"floquet-czz": [("eps",)], "dtc": [("J",)],
+          "hamiltonian-impurity": [()], "quench": [()], "oracle-check": [()],
+          "entropy-scan": [("T_list", "eps_kick", "h"), ("T_list", "J", "g", "h"),
+                           ("eps_list", "t", "J", "g", "h")]}
+_COMMON = ("boundary", "cutoff", "out", "preserve_weak_bonds", "reuse_im", "seed")
+_ONE_IN = {n: st.sampled_from([False] * (n - 1) + [True]) for n in (2, 10, 20)}
 
 
-# a valid header, then an MPS whose one tensor claims (2**32 - 1)**3 entries:
-# too many bytes to ask a stream for
-_HUGE = (_BLOB[:_BLOB.index(b"TIM1")] + b"TIM1"
-         + struct.pack("<IIi d", 1, 1, -1, 0.0) + struct.pack("<III", *[2 ** 32 - 1] * 3))
+@st.composite
+def _config_files(draw):
+    """Mostly runnable configs: each key the run reads is left out one time
+    in twenty, an optional one half the time, any other key is put in one
+    time in ten, and a value is bad one time in twenty."""
+    exp = draw(st.sampled_from(EXPERIMENTS + ("oracle-check",)))
+    reads = cli._REQUIRED.get(exp, ()) + draw(st.sampled_from(_FORMS[exp]))
+    lines = [f"experiment = {exp}"]
+    for key in sorted(_SMALL):
+        odds = 20 if key in reads else 2 if key in _COMMON else 10
+        if draw(_ONE_IN[odds]) == (key in reads):  # the rare case
+            continue
+        bad = draw(_ONE_IN[20])
+        lines.append(f"{key} = {draw(st.sampled_from(_BAD if bad else _SMALL[key]))}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.binary(max_size=64).map(lambda b: b"TIMC" + b) | st.binary(max_size=64))
-@example(_HUGE)
-def test_load_checkpoint_on_garbage_raises_only_value_error(blob):
-    _load(blob)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(0, 255)),
-                min_size=1, max_size=4),
-       st.integers(1, len(_BLOB)))
-def test_load_checkpoint_on_mutated_bytes_raises_only_value_error(edits, keep):
-    blob = bytearray(_BLOB)
-    for pos, byte in edits:
-        blob[pos] = byte
-    _load(bytes(blob[:keep]))
+@settings(max_examples=150, deadline=None)
+@given(_config_files())
+# eps_list without t on an experiment that does not read either: once a
+# KeyError from the time-grid check
+@example("experiment = floquet-czz\nJ = 1\ng = 1\nh = 1\nT_max = 1\nchi = 1\n"
+         "eps_list = 0.1\n")
+# a disorder-averaged scan without h: once an AttributeError
+@example("experiment = entropy-scan\nT_list = 1\nchi = 1\neps_kick = -1\n")
+@example("experiment = dtc\neps_kick = 0.13\nh = 0.3\nT_max = 1\nchi = 1\n")
+@example("experiment = entropy-scan\nJ = 0\ng = 0\nh = 0\nT_list = 1\nchi = 1\n")
+def test_main_exits_only_with_its_codes(text):
+    assert set(_SMALL) | {"experiment"} == set(_KEYS)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cfg")
+        with open(path, "w") as f:
+            f.write(text)
+        out = os.path.join(tmp, "out")
+        code = cli.main(["run", path, "--out", out])
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_UNSTABLE, cli.EXIT_RESOURCE)
+        manifest = os.path.join(out, "run_manifest.json")
+        if code != 0:
+            assert not os.path.exists(manifest)
+            return
+        with open(manifest) as f:
+            files = json.load(f)["files"]
+        assert files
+        assert all(os.path.isfile(os.path.join(out, name)) for name in files)
