@@ -27,7 +27,8 @@ from .models import ModelSpec, floquet_kernel, folded_kick_links
 from .mps import (TemporalMps, TemporalMpo, ZipupResult, apply_mpo_zipup,
                   canonicalize, mps_norm, overlap, product_mps)
 from .mps import entropy_profile  # noqa: F401  unused here; imbench/tracing.py wraps it
-from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
+from .tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR,
+                     NumericalInstabilityError)
 
 BOUNDARY_KINDS = ("open", "perfect_dephaser")
 
@@ -35,10 +36,6 @@ _TRACE_MASK = (FOLDED_FWD == FOLDED_BWD).astype(complex)  # [1,0,0,1]
 # bond charge sigma_x sigma_y - sigmabar_x sigmabar_y, in {-2, 0, 2}
 _BOND_CHARGE = (np.outer(FOLDED_SIGMA, FOLDED_SIGMA)
                 - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR))
-
-
-class NumericalInstabilityError(RuntimeError):
-    """Norm of the power iteration ran away after the light-cone horizon."""
 
 
 def boundary_mps(kind: str, T: int) -> TemporalMps:

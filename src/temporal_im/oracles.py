@@ -15,8 +15,7 @@ import numpy as np
 
 from .models import (ID2, PAULI, SX, SZ, ModelSpec, floquet_kernel,
                      initial_density, kick_matrix)
-from .tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR,
-                     scipy_linalg)
+from .tensor import FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR
 
 ED_MAX_SITES = 13       # 2^13 x 2^13 complex matrix ~ 1.1 GB
 DENSE_MAX_STEPS = 6     # 4^6 x 4^6 dense slice ~ 268 MB
@@ -391,7 +390,9 @@ def hamiltonian_dense(J: float, g: float, h: float, L: int) -> np.ndarray:
 
 
 def hamiltonian_propagator(J: float, g: float, h: float, L: int, t: float) -> np.ndarray:
-    return scipy_linalg().expm(-1j * hamiltonian_dense(J, g, h, L) * t)
+    """exp(-i H t) as V exp(-i E t) V^dagger from the eigenbasis of H."""
+    E, V = np.linalg.eigh(hamiltonian_dense(J, g, h, L))
+    return (V * np.exp(-1j * E * t)) @ V.conj().T
 
 
 def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,

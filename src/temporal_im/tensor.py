@@ -1,9 +1,8 @@
 """Dense complex tensor primitives: truncated SVD, the folded-index tables,
 and the BLAS thread pin the command line runs them under.
 
-scipy is imported on first use only (``scipy_linalg``): it loads a second
-OpenBLAS and costs a run about 0.3 s and 26 MiB (2-core x86 host), and the
-engine needs it only for the rare gesvd fallback.
+The engine needs numpy only.  Every SVD is numpy's gesdd, retried through a
+QR factorization on a block where it fails to converge (``_svd_retry``).
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -13,9 +12,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import sys
 import threading
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +28,8 @@ FOLDED_BWD = np.array([0, 1, 0, 1])
 # relative tolerance for treating neighbouring singular values as degenerate
 _MULTIPLET_RTOL = 1e-12
 
-# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy load:
-# the scipy-openblas wheels (ILP64 for numpy, LP64 for scipy), then plain
+# (get, set) thread-count symbols of the OpenBLAS builds numpy may load: the
+# scipy-openblas wheels (ILP64, and LP64 for 32-bit-index builds), then plain
 # ILP64 and LP64 builds.
 _OPENBLAS_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -45,6 +43,12 @@ class DimensionError(ValueError):
     """Raised when tensor extents do not line up."""
 
 
+class NumericalInstabilityError(RuntimeError):
+    """The computation lost control of its numbers: the power iteration's
+    norm drifted after the light-cone horizon, an IM trace was degenerate,
+    a slice broke the branch-swap symmetry, or an SVD failed."""
+
+
 class SvdFactors(NamedTuple):
     u: np.ndarray
     s: np.ndarray
@@ -56,8 +60,35 @@ def _svd(m: np.ndarray):
     try:
         return np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        # gesdd can fail to converge on nasty inputs; gesvd is slower but robust
-        return scipy_linalg().svd(m, full_matrices=False, lapack_driver="gesvd")
+        return _svd_retry(m)
+
+
+def _svd_retry(m: np.ndarray):
+    """SVD of a block on which gesdd failed to converge.
+
+    gesdd runs on the triangular factor R of a Householder QR of ``m`` (of
+    its transpose when ``m`` is wide), then on R's transpose, and the factors
+    are mapped back.  A non-finite block, or one on which both tries fail,
+    raises ``NumericalInstabilityError``.
+    """
+    if not np.isfinite(m).all():
+        raise NumericalInstabilityError(
+            f"SVD of a {m.shape[0]}x{m.shape[1]} block with non-finite entries")
+    wide = m.shape[0] < m.shape[1]
+    q, r = np.linalg.qr(m.T if wide else m)
+    for flip in (False, True):
+        try:
+            u, s, vh = np.linalg.svd(r.T if flip else r, full_matrices=False)
+        except np.linalg.LinAlgError:
+            continue
+        if flip:  # r = (u s vh)^T
+            u, vh = vh.T, u.T
+        u = q @ u
+        if wide:
+            u, vh = vh.T, u.T
+        return np.ascontiguousarray(u), s, np.ascontiguousarray(vh)
+    raise NumericalInstabilityError(
+        f"SVD of a {m.shape[0]}x{m.shape[1]} block did not converge")
 
 
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors:
@@ -114,13 +145,8 @@ def _openblas_libs() -> Dict[str, tuple]:
     return libs
 
 
-# State of the open ``one_blas_thread`` blocks, guarded by _PIN_LOCK: how many
-# are open, the libraries they hold at one thread, and the (set, count) pairs
-# of libraries loaded while one was open, restored when the last one closes.
+# serializes the save, pin and restore of ``one_blas_thread`` blocks
 _PIN_LOCK = threading.Lock()
-_pin_blocks = 0
-_pinned_paths: set = set()
-_late_pins: List[Tuple[Callable, int]] = []
 
 
 @contextlib.contextmanager
@@ -130,58 +156,30 @@ def one_blas_thread() -> Iterator[Optional[int]]:
     The engine's SVDs are 64 to 512 wide at the bundled bond dimensions;
     there OpenBLAS's own threads lose wall time or save little of it for
     twice the CPU, and independent jobs use the cores better.  Results then
-    also do not depend on the host's core count.  Yields 1, or None when no OpenBLAS control was found
-    (the block then runs unchanged).  The caller's counts are restored on
-    exit.  An OpenBLAS that ``scipy_linalg`` loads inside the block runs on
-    one thread too, and gets its count back when the outermost block exits.
-    Setting ``OPENBLAS_NUM_THREADS`` instead would have no effect once
-    numpy is loaded, and would leak into child processes.
+    also do not depend on the host's core count.  Yields 1, or None when no
+    OpenBLAS control was found (the block then runs unchanged).  The
+    caller's counts are restored on exit.  Setting ``OPENBLAS_NUM_THREADS``
+    instead would have no effect once numpy is loaded, and would leak into
+    child processes.
     """
-    global _pin_blocks
     with _PIN_LOCK:
         libs = _openblas_libs()
         saved = [(put, get()) for get, put in libs.values()]
         for put, _ in saved:
             put(1)
-        _pin_blocks += 1
-        _pinned_paths.update(libs)
     try:
         yield 1 if libs else None
     finally:
         with _PIN_LOCK:
             for put, n in saved:
                 put(n)
-            _pin_blocks -= 1
-            if _pin_blocks == 0:
-                for put, n in _late_pins:
-                    put(n)
-                _late_pins.clear()
-                _pinned_paths.clear()
-
-
-def scipy_linalg():
-    """``scipy.linalg``, imported on first use.
-
-    Its import loads scipy's own OpenBLAS; inside a ``one_blas_thread``
-    block that library is pinned to one thread as well.
-    """
-    fresh = "scipy.linalg" not in sys.modules
-    import scipy.linalg
-    if fresh:
-        with _PIN_LOCK:
-            if _pin_blocks:
-                for path, (get, put) in _openblas_libs().items():
-                    if path not in _pinned_paths:
-                        _late_pins.append((put, get()))
-                        put(1)
-                        _pinned_paths.add(path)
-    return scipy.linalg
 
 
 def __getattr__(name: str):
-    """``tensor.scipy`` imports scipy on first access, so code that patches
-    the fallback's ``scipy.linalg.svd`` through this module still works."""
+    """``tensor.scipy``, imported on first access.  The engine never uses
+    it; it is kept for code that patches ``scipy.linalg.svd`` through this
+    module."""
     if name == "scipy":
-        scipy_linalg()
-        return sys.modules["scipy"]
+        import scipy.linalg
+        return scipy
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -14,8 +14,9 @@ from temporal_im.oracles import (ResourceLimitError, binary_entropy,
                                  dense_kernel_contract, dense_transfer_slice,
                                  dicke_entropy, ed_chain_evolve,
                                  ed_disorder_monte_carlo, g0_schmidt_entropy,
-                                 g0_schmidt_probability, hamiltonian_propagator,
-                                 im_g0, isolated_spin_autocorrelator)
+                                 g0_schmidt_probability, hamiltonian_dense,
+                                 hamiltonian_propagator, im_g0,
+                                 isolated_spin_autocorrelator)
 
 # C_zz(T) of the kicked chain at J=0.8, g=0.7236, h=0.6472, frozen from a
 # 2T+1-site brute-force run
@@ -115,6 +116,15 @@ def test_disordered_ed_requires_explicit_couplings():
 def test_isolated_spin_series_is_unit_at_zero_kick():
     spec = ModelSpec(J=0.5, g=0.0, h=0.77, T=5)
     assert np.allclose(isolated_spin_autocorrelator(spec), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("L", [3, 5, 7, 9])
+def test_hamiltonian_propagator_matches_expm(L):
+    linalg = pytest.importorskip("scipy.linalg")
+    J, g, h, t = 0.9, 0.7, 0.4, 1.0
+    want = linalg.expm(-1j * hamiltonian_dense(J, g, h, L) * t)
+    got = hamiltonian_propagator(J, g, h, L, t)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_trotter_error_scales_as_eps_squared():

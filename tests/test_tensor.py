@@ -1,15 +1,15 @@
-import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
-                                FOLDED_SIGMA, FOLDED_SIGMA_BAR, svd_truncate)
+                                FOLDED_SIGMA, FOLDED_SIGMA_BAR,
+                                NumericalInstabilityError, one_blas_thread,
+                                svd_truncate)
 
 from helpers import blas_threads
 
@@ -90,31 +90,60 @@ def test_svd_truncate_weight_accounting(n, m, chi, cutoff):
     assert len(f.s) <= chi
 
 
-def test_svd_fallback_to_gesvd(monkeypatch):
-    """When gesdd fails, gesvd gives the same factors, on one BLAS thread."""
-    m = crand(12, 7)
-    want = np.linalg.svd(m, full_matrices=False)
-    gesvd = scipy.linalg.svd
-    counts = []
+def _failing_svd(monkeypatch, failures):
+    """Make ``np.linalg.svd`` raise on its first ``failures`` calls; returns
+    the BLAS thread counts seen at each call."""
+    real_svd = np.linalg.svd
+    seen = []
 
-    def failing_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def svd(*args, **kwargs):
+        seen.append(blas_threads())
+        if len(seen) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
 
-    def watched_gesvd(*args, **kwargs):
-        counts.append(blas_threads())
-        return gesvd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return seen
 
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    monkeypatch.setattr(scipy.linalg, "svd", watched_gesvd)
-    f = svd_truncate(m, chi_max=7)
-    assert len(counts) == 1 and counts[0] and set(counts[0]) == {1}
-    assert np.allclose(f.s, want[1], atol=1e-12)
-    assert np.allclose(f.u * f.s @ f.vh, m, atol=1e-12)
-    # singular vectors agree up to a phase per column
-    phases = np.sum(want[0].conj() * f.u, axis=0)
-    assert np.allclose(np.abs(phases), 1.0, atol=1e-12)
-    assert np.allclose(f.u, want[0] * phases, atol=1e-12)
-    assert np.allclose(f.vh, want[2] * phases.conj()[:, None], atol=1e-12)
+
+@pytest.mark.parametrize("failures", [1, 2])
+@pytest.mark.parametrize("dtype", [complex, np.float64])
+@pytest.mark.parametrize("shape", [(12, 7), (7, 12)], ids=["tall", "wide"])
+def test_svd_retry_rebuilds_the_block(monkeypatch, shape, dtype, failures):
+    """When gesdd fails on the block, then on R, the retry still gives an
+    exact SVD, on one BLAS thread."""
+    m = crand(*shape)
+    m = m if dtype is complex else m.real.copy()
+    want = np.linalg.svd(m, compute_uv=False)
+    seen = _failing_svd(monkeypatch, failures)
+    with one_blas_thread():
+        f = svd_truncate(m, chi_max=12)
+    assert len(seen) == failures + 1
+    assert all(counts and set(counts) == {1} for counts in seen)
+    assert f.u.dtype == f.vh.dtype == m.dtype
+    assert np.allclose(f.s, want, rtol=0, atol=1e-12)
+    assert np.allclose(f.u * f.s @ f.vh, m, rtol=0, atol=1e-12)
+    assert np.allclose(f.u.conj().T @ f.u, np.eye(len(f.s)), atol=1e-12)
+    assert np.allclose(f.vh @ f.vh.conj().T, np.eye(len(f.s)), atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(12, 7), (7, 12)], ids=["tall", "wide"])
+def test_svd_truncate_raises_when_every_svd_fails(monkeypatch, shape):
+    seen = _failing_svd(monkeypatch, failures=3)
+    with pytest.raises(NumericalInstabilityError, match="did not converge"):
+        svd_truncate(crand(*shape), chi_max=4)
+    assert len(seen) == 3
+
+
+def test_svd_of_non_finite_block_raises_at_once(monkeypatch):
+    """A NaN makes gesdd fail; the retry rejects the block without a second
+    SVD."""
+    m = crand(5, 4)
+    m[2, 1] = np.nan
+    seen = _failing_svd(monkeypatch, failures=1)
+    with pytest.raises(NumericalInstabilityError, match="non-finite"):
+        svd_truncate(m, chi_max=4)
+    assert len(seen) == 1
 
 
 def _fresh_python(code: str) -> str:
@@ -126,38 +155,25 @@ def _fresh_python(code: str) -> str:
                                    PYTHONPATH=os.pathsep.join((SRC, TESTS)))).stdout
 
 
-_LAZY_PIN = """
-import json
-import numpy as np
-from temporal_im import tensor
-from helpers import blas_threads
-before = blas_threads()
-def failing_svd(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
-real_svd = np.linalg.svd
-np.linalg.svd = failing_svd
-with tensor.one_blas_thread():
-    tensor.svd_truncate(np.eye(3) + 0.5j, chi_max=3)
-    inside = blas_threads()
-np.linalg.svd = real_svd
-print(json.dumps([before, inside, blas_threads()]))
+_NUMPY_ONLY = """
+import os, sys, tempfile
+import temporal_im
+from temporal_im import cli
+for name in temporal_im.__all__:
+    getattr(temporal_im, name)
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = os.path.join(tmp, "tiny.cfg")
+    with open(cfg, "w") as f:
+        f.write("experiment = floquet-czz\\nJ = 0.8\\ng = 0.7\\nh = 0.6\\n"
+                "T_max = 2\\nchi = 4\\n")
+    assert cli.main(["run", cfg, "--out", os.path.join(tmp, "out")]) == 0
+assert cli.main(["oracle-check"]) == 0
+print("scipy" in sys.modules)
 """
 
 
-def test_scipy_loaded_inside_pin_runs_one_thread():
-    """scipy's OpenBLAS, loaded by the fallback inside the pin, runs on one
-    thread there and gets its default back when the pin is left."""
-    out = _fresh_python(_LAZY_PIN)
-    before, inside, after = json.loads(out)
-    if not before:
-        pytest.skip("no OpenBLAS thread control found")
-    assert len(inside) == len(before) + 1  # scipy's own OpenBLAS joined
-    assert set(inside) == {1}
-    # numpy's count is restored, scipy's is back at its default, the same
-    assert sorted(after) == sorted(before + before[:1])
-
-
 def test_cli_import_leaves_scipy_unloaded():
-    """``temporal-im run`` does not pay for importing scipy."""
-    out = _fresh_python("import sys, temporal_im.cli; print('scipy' in sys.modules)")
-    assert out.strip() == "False"
+    """The package, a ``temporal-im run`` and ``oracle-check`` need numpy
+    only."""
+    out = _fresh_python(_NUMPY_ONLY)
+    assert out.splitlines()[-1] == "False"

@@ -3,12 +3,13 @@
 ``parse_config_text`` may only return a config or raise ``ConfigError``.
 ``cli.main`` on a generated config file may only exit 0, 2, 3 or 4: on 0
 the manifest and every CSV it lists exist, on any other code no manifest
-is written.
+is written.  An SVD that cannot be done exits 3 as well.
 """
 import json
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from temporal_im import cli
@@ -108,3 +109,18 @@ def test_main_exits_only_with_its_codes(text):
             files = json.load(f)["files"]
         assert files
         assert all(os.path.isfile(os.path.join(out, name)) for name in files)
+
+
+def test_failing_svd_exits_3(tmp_path, monkeypatch):
+    """An SVD that gesdd and its retry cannot do stops the run with exit 3
+    and no manifest."""
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("experiment = floquet-czz\nJ = 0.8\ng = 0.7\nh = 0.6\n"
+                   "T_max = 2\nchi = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_UNSTABLE
+    assert not (out / "run_manifest.json").exists()
