@@ -321,7 +321,7 @@ def _series_plans(cfg: ExperimentConfig):
     exp = cfg.experiment
     cutoff = cfg.get("cutoff", 0.0)
     if cfg.get("preserve_weak_bonds", False):
-        cutoff = 0.0  # keep every Schmidt value up to chi
+        cutoff = 0.0  # every Schmidt value above the round-off floor, up to chi
     reuse = cfg.get("reuse_im", False)
     if exp == "entropy-scan":
         specs = _entropy_specs(cfg)

@@ -349,10 +349,10 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     light-cone count n_lc (ceil(T/2), or T from a polarized state) plus 2;
     drift above ``drift_limit`` from iteration n_lc on means truncation has
     destabilized the iteration and raises.  ``cutoff=0`` keeps every
-    nonzero Schmidt value up to chi_max per bond (small ones matter near the
-    continuous-time limit).  The iteration runs in the real basis on
-    float64; the returned IM is in the folded z basis.  A slice without the
-    branch-swap symmetry raises ``BranchSymmetryError``.
+    Schmidt value above the round-off floor up to chi_max per bond (small
+    ones matter near the continuous-time limit).  The iteration runs in the
+    real basis on float64; the returned IM is in the folded z basis.  A
+    slice without the branch-swap symmetry raises ``BranchSymmetryError``.
     """
     T = spec.T
     n_lc = (T + 1) // 2 if spec.initial_state == "infinite_temperature" else T

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .tensor import svd_truncate
+from .tensor import _svd, svd_truncate
 
 
 @dataclass
@@ -108,7 +108,8 @@ def overlap(a: TemporalMps, b: TemporalMps) -> complex:
     """<a|b> with conjugation on ``a``, including both norm_log factors."""
     if a.T != b.T:
         raise ValueError(f"length mismatch: {a.T} vs {b.T}")
-    env = np.ones((1, 1), dtype=complex)
+    # real states keep the environment, and its matmuls, in float64
+    env = np.ones((1, 1), dtype=np.result_type(*a.tensors, *b.tensors))
     for ta, tb in zip(a.tensors, b.tensors):
         env = np.dot(env, tb.reshape(len(tb), -1))                  # (ca, p cb')
         bra = ta.conj().transpose(2, 0, 1).reshape(ta.shape[2], -1)  # (ca', ca p)
@@ -142,7 +143,7 @@ def entropy_profile(psi: TemporalMps) -> List[float]:
     carry = tensors[0]
     for i in range(T - 1):
         chi_l, _, chi_r = carry.shape
-        u, s, vh = np.linalg.svd(carry.reshape(chi_l * 4, chi_r), full_matrices=False)
+        u, s, vh = _svd(carry.reshape(chi_l * 4, chi_r))
         out.append(_schmidt_entropy(s))
         sn = np.linalg.norm(s)
         nxt = np.tensordot((s / sn)[:, None] * vh, tensors[i + 1], axes=(1, 0))
@@ -180,9 +181,10 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     everything right of it is already right-isometric, so those values are
     Schmidt values.  The first sweep leaves every bond at most chi_max wide,
     so the second sweep never meets the cap and drops only values below
-    ``cutoff`` * s_0.  The reported spectra are therefore the ones after that
-    bond's truncation, those of the returned state, up to the cutoff-level
-    truncations the sweep makes further left afterwards.
+    max(``cutoff``, round-off floor) * s_0 (see ``svd_truncate``).  The
+    reported spectra are therefore the ones after that bond's truncation,
+    those of the returned state, up to the cutoff-level truncations the
+    sweep makes further left afterwards.
     """
     if op.T != psi.T:
         raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")

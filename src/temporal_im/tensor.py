@@ -94,12 +94,16 @@ def _svd_retry(m: np.ndarray):
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors:
     """SVD of a matrix, truncated by bond cap and relative cutoff.
 
-    Values with s_k < cutoff * s_0 are dropped.  A degenerate multiplet
-    straddling the cutoff boundary is kept whole (the kept set is extended by
-    at most the multiplet size) so results do not depend on backend ordering
-    of equal values.  The hard ``chi_max`` cap is applied afterwards and is
-    absolute.  ``discarded_weight`` is the plain sum of squared dropped
-    values.
+    Values with s_k < max(cutoff, max(M, N) * eps) * s_0 are dropped, for an
+    M x N block and eps the machine epsilon of its dtype.  The second term is
+    the round-off floor, the usual numerical-rank tolerance: below it a
+    singular value is noise of the SVD itself, so ``cutoff = 0`` keeps every
+    value above the round-off floor, and any cutoff at or above the floor
+    acts alone.  A degenerate multiplet straddling the boundary is kept whole
+    (the kept set is extended by at most the multiplet size) so results do
+    not depend on backend ordering of equal values.  The hard ``chi_max`` cap
+    is applied afterwards and is absolute.  ``discarded_weight`` is the plain
+    sum of squared dropped values, those below the floor included.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be a positive integer")
@@ -108,8 +112,9 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0) -> SvdFactors
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     u, s, vh = _svd(m)
     keep = len(s)
-    if cutoff > 0.0 and keep > 0 and s[0] > 0.0:
-        keep = int(np.sum(s >= cutoff * s[0]))
+    if keep > 0 and s[0] > 0.0:
+        rel = max(cutoff, max(m.shape) * np.finfo(s.dtype).eps)
+        keep = int(np.sum(s >= rel * s[0]))
         keep = max(keep, 1)
         while 0 < keep < len(s) and s[keep] >= s[keep - 1] * (1.0 - _MULTIPLET_RTOL):
             keep += 1

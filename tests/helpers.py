@@ -35,11 +35,27 @@ def blas_threads() -> Tuple[int, ...]:
     return tuple(get() for get, _ in _openblas_libs().values())
 
 
+def failing_svd(monkeypatch, failures: int) -> list:
+    """Make ``np.linalg.svd`` raise on its first ``failures`` calls; returns
+    the BLAS thread counts seen at each call."""
+    real_svd = np.linalg.svd
+    seen = []
+
+    def svd(*args, **kwargs):
+        seen.append(blas_threads())
+        if len(seen) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return seen
+
+
 # ---- np.tensordot references of the contraction kernels in ``mps``; the
 # kernels must match them bit for bit
 
 def overlap_tensordot(a: TemporalMps, b: TemporalMps) -> complex:
-    env = np.ones((1, 1), dtype=complex)
+    env = np.ones((1, 1), dtype=np.result_type(*a.tensors, *b.tensors))
     for ta, tb in zip(a.tensors, b.tensors):
         env = np.tensordot(env, tb, axes=(1, 0))
         env = np.tensordot(ta.conj(), env, axes=([0, 1], [0, 1]))

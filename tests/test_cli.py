@@ -300,7 +300,7 @@ def _run_summary(tmp_path, name, text):
     return man["solves"][csv_name], rows
 
 
-def test_manifest_solve_summary(tmp_path):
+def test_manifest_solve_summary(tmp_path, monkeypatch):
     """The manifest says which IMs missed their stopping rule."""
     stalled, rows = _run_summary(tmp_path, "stalled", STALLED_FLOQUET)
     assert stalled["solves"] == 1 and stalled["converged"] == 0
@@ -310,12 +310,24 @@ def test_manifest_solve_summary(tmp_path):
     # one reused IM: every row reports its whole discarded weight
     assert stalled["discarded_weight"] == float(rows[1][5]) > 0.0
 
+    # cutoff 0 drops only values below the round-off floor max(M, N) eps s_0
+    # of svd_truncate, each at most (max(M, N) eps)^2 of its block's weight
+    from temporal_im import mps
+    real_svd_truncate, floor_weights = mps.svd_truncate, []
+
+    def svd_truncate(m, chi_max, cutoff=0.0):
+        f = real_svd_truncate(m, chi_max, cutoff)
+        dropped = min(m.shape) - len(f.s)
+        floor_weights.append(dropped * (max(m.shape) * np.finfo(m.dtype).eps) ** 2)
+        return f
+
+    monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
     conv, _ = _run_summary(tmp_path, "converged", CONVERGED_FLOQUET)
     assert conv["solves"] == conv["converged"] == 3  # fresh solve per T
     assert 1 <= conv["max_iterations"] <= 3 + 1
     assert conv["max_final_deficit"] < 1e-10
     assert conv["max_trace_residual"] < 1e-10
-    assert conv["discarded_weight"] == 0.0
+    assert 0.0 < conv["discarded_weight"] <= sum(floor_weights)
 
     # impurity: base solves plus one slice each; no weight counted twice
     imp, rows = _run_summary(tmp_path, "impurity", TINY_IMPURITY)
@@ -327,11 +339,13 @@ def test_manifest_solve_summary(tmp_path):
 
 
 def test_preserve_weak_bonds_means_cutoff_zero(tmp_path):
-    """The config key maps to cutoff 0, whatever cutoff says."""
+    """The config key maps to cutoff 0, whatever cutoff says.  At chi = 4
+    cutoffs of 1e-8 and 1e-6 drop nothing the round-off floor keeps, so the
+    overridden cutoff is 1e-4."""
     base = TINY_IMPURITY.replace("cutoff = 0\n", "")
     csv = {}
-    for tag, extra in (("pwb", "cutoff = 1e-8\npreserve_weak_bonds = true\n"),
-                       ("zero", "cutoff = 0\n"), ("cut", "cutoff = 1e-8\n")):
+    for tag, extra in (("pwb", "cutoff = 1e-4\npreserve_weak_bonds = true\n"),
+                       ("zero", "cutoff = 0\n"), ("cut", "cutoff = 1e-4\n")):
         cfgp = tmp_path / f"{tag}.cfg"
         cfgp.write_text(base + extra)
         assert cli.main(["run", str(cfgp), "--out", str(tmp_path / tag)]) == 0

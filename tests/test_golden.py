@@ -25,7 +25,10 @@ must move no value checks that it moves no byte either::
 
 regenerates every config into a temporary directory, compares each file
 with ``tests/golden/`` byte for byte, prints ``identical`` or ``moved`` per
-file (a file on one side only counts as moved) and exits 1 on any move.
+file (a file on one side only counts as moved) and exits 1 on any move.  A
+moved CSV or ``solves.json`` also gets the largest |new - old| of every
+column (CSV) or field (``solves.json``) that moved, so a named value change
+can be quoted from this one command.
 """
 import filecmp
 import json
@@ -147,6 +150,34 @@ def regenerate(root: str = GOLDEN) -> None:
             f.write("\n")
 
 
+def _moves(new: str, old: str) -> str:
+    """The columns of a CSV, or the fields of a ``solves.json``, that differ
+    between two versions of a file, each with its largest |new - old|
+    ("text" where the entries are not numbers)."""
+    if new.endswith(".json"):
+        with open(new) as f, open(old) as g:
+            a, b = json.load(f), json.load(g)
+        if sorted(a) != sorted(b):
+            return "different CSV names"
+        cells = [(key, str(a[c][key]), str(b[c].get(key))) for c in a for key in a[c]]
+    else:
+        (head, rows), (want_head, want_rows) = _read_csv(new), _read_csv(old)
+        if head != want_head or len(rows) != len(want_rows):
+            return "different header or row count"
+        cells = [(col, x, y) for r, w in zip(rows, want_rows)
+                 for col, x, y in zip(head, r, w)]
+    gaps = {}
+    for col, x, y in cells:
+        if x == y or gaps.get(col) == "text":
+            continue
+        try:
+            gaps[col] = max(_value_gap(x, y), gaps.get(col, 0.0))
+        except ValueError:
+            gaps[col] = "text"
+    return ", ".join(f"{c} {g}" if g == "text" else f"{c} {g:.2g}"
+                     for c, g in gaps.items())
+
+
 def check() -> int:
     """Regenerate into a temporary directory and compare bytes with the
     stored files; 0 when every file is identical, else 1."""
@@ -160,7 +191,12 @@ def check() -> int:
                 same = (os.path.isfile(new) and os.path.isfile(old)
                         and filecmp.cmp(new, old, shallow=False))
                 moved += not same
-                print(f"{name}/{fname}: {'identical' if same else 'moved'}")
+                if same:
+                    print(f"{name}/{fname}: identical")
+                elif os.path.isfile(new) and os.path.isfile(old):
+                    print(f"{name}/{fname}: moved ({_moves(new, old)})")
+                else:
+                    print(f"{name}/{fname}: moved (on one side only)")
     return 1 if moved else 0
 
 

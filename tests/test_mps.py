@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap,
                              product_mps)
+from temporal_im.tensor import NumericalInstabilityError
 
-from helpers import overlap_tensordot, zipup_tensordot
+from helpers import failing_svd, overlap_tensordot, zipup_tensordot
 
 rng = np.random.default_rng(11)
 
@@ -197,3 +198,17 @@ def test_overlap_self_is_norm_squared(T, chi):
     got = overlap(psi, psi)
     assert abs(got.imag) < 1e-10 * abs(got)
     assert np.isclose(got.real, np.linalg.norm(psi.dense()) ** 2, rtol=1e-9)
+
+
+def test_entropy_profile_retries_a_failing_svd(monkeypatch):
+    """entropy_profile's SVDs go through the retry of ``tensor._svd``: one
+    gesdd failure is retried to the same entropies, and a block on which
+    every SVD fails raises ``NumericalInstabilityError``."""
+    psi = random_mps(4, 3)
+    want = entropy_profile(psi)
+    seen = failing_svd(monkeypatch, failures=1)
+    assert np.allclose(entropy_profile(psi), want, rtol=0, atol=1e-12)
+    assert len(seen) == 3 + 1  # three bonds, one retry
+    failing_svd(monkeypatch, failures=3)
+    with pytest.raises(NumericalInstabilityError, match="did not converge"):
+        entropy_profile(psi)

@@ -11,7 +11,7 @@ from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
                                 NumericalInstabilityError, one_blas_thread,
                                 svd_truncate)
 
-from helpers import blas_threads
+from helpers import failing_svd
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -70,11 +70,57 @@ def test_svd_truncate_keeps_degenerate_multiplet_whole():
     assert len(f.s) == 1 or len(f.s) == 4
 
 
-def test_svd_truncate_zero_cutoff_keeps_exact_zeros():
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = 1.0
-    f = svd_truncate(m, chi_max=4, cutoff=0.0)
-    assert len(f.s) == 4
+def _planted(shape, dtype, s):
+    """A block of ``shape`` with singular values ``s`` (largest first)."""
+    u, v = (crand(n, len(s)) for n in shape)
+    if dtype is not complex:
+        u, v = u.real, v.real
+    return (np.linalg.qr(u)[0] * s) @ np.linalg.qr(v)[0].conj().T
+
+
+def _cutoff_rule(m, chi_max, cutoff):
+    """``svd_truncate`` as it was before the round-off floor: cutoff 0 kept
+    every value up to ``chi_max``."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = len(s)
+    if cutoff > 0.0 and keep > 0 and s[0] > 0.0:
+        keep = int(np.sum(s >= cutoff * s[0]))
+        keep = max(keep, 1)
+        while 0 < keep < len(s) and s[keep] >= s[keep - 1] * (1.0 - 1e-12):
+            keep += 1
+    keep = min(keep, chi_max)
+    if keep == len(s):
+        return u, s, vh, 0.0
+    return (np.ascontiguousarray(u[:, :keep]), s[:keep].copy(),
+            np.ascontiguousarray(vh[:keep]), float(np.sum(s[keep:] ** 2)))
+
+
+def test_svd_truncate_zero_cutoff_drops_round_off():
+    """Cutoff 0 keeps values at 10x the floor max(M, N) eps s_0 and drops,
+    and counts, those at 0.1x; an exactly rank-1 block keeps one value; any
+    cutoff at or above the floor gives the cutoff-only rule bit for bit."""
+    for shape in ((24, 7), (7, 24)):
+        for dtype in (complex, np.float64):
+            floor = max(shape) * np.finfo(np.float64).eps
+            m = _planted(shape, dtype, [1.0, 0.7, 0.1, 12 * floor, 10 * floor,
+                                        0.1 * floor, 0.08 * floor])
+            f = svd_truncate(m, chi_max=7, cutoff=0.0)
+            full = np.linalg.svd(m, full_matrices=False)[1]
+            assert len(f.s) == 5 and np.array_equal(f.s, full[:5])
+            assert f.discarded_weight == float(np.sum(full[5:] ** 2)) > 0.0
+            assert f.discarded_weight <= 2 * (floor * full[0]) ** 2
+            assert np.allclose(f.u * f.s @ f.vh, m, rtol=0, atol=1e-13)
+            for cutoff in (floor, 1e-12, 1e-6, 0.3):
+                for chi in (7, 2):
+                    got = svd_truncate(m, chi_max=chi, cutoff=cutoff)
+                    want = _cutoff_rule(m, chi, cutoff)
+                    for x, y in zip(got[:3], want[:3]):
+                        assert x.dtype == y.dtype and np.array_equal(x, y)
+                    assert got.discarded_weight == want[3]
+            one = np.zeros((4, 4), dtype=dtype)
+            one[0, 0] = 1.0
+            f = svd_truncate(one, chi_max=4, cutoff=0.0)
+            assert len(f.s) == 1 and f.discarded_weight == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,22 +136,6 @@ def test_svd_truncate_weight_accounting(n, m, chi, cutoff):
     assert len(f.s) <= chi
 
 
-def _failing_svd(monkeypatch, failures):
-    """Make ``np.linalg.svd`` raise on its first ``failures`` calls; returns
-    the BLAS thread counts seen at each call."""
-    real_svd = np.linalg.svd
-    seen = []
-
-    def svd(*args, **kwargs):
-        seen.append(blas_threads())
-        if len(seen) <= failures:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return real_svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    return seen
-
-
 @pytest.mark.parametrize("failures", [1, 2])
 @pytest.mark.parametrize("dtype", [complex, np.float64])
 @pytest.mark.parametrize("shape", [(12, 7), (7, 12)], ids=["tall", "wide"])
@@ -115,7 +145,7 @@ def test_svd_retry_rebuilds_the_block(monkeypatch, shape, dtype, failures):
     m = crand(*shape)
     m = m if dtype is complex else m.real.copy()
     want = np.linalg.svd(m, compute_uv=False)
-    seen = _failing_svd(monkeypatch, failures)
+    seen = failing_svd(monkeypatch, failures)
     with one_blas_thread():
         f = svd_truncate(m, chi_max=12)
     assert len(seen) == failures + 1
@@ -129,7 +159,7 @@ def test_svd_retry_rebuilds_the_block(monkeypatch, shape, dtype, failures):
 
 @pytest.mark.parametrize("shape", [(12, 7), (7, 12)], ids=["tall", "wide"])
 def test_svd_truncate_raises_when_every_svd_fails(monkeypatch, shape):
-    seen = _failing_svd(monkeypatch, failures=3)
+    seen = failing_svd(monkeypatch, failures=3)
     with pytest.raises(NumericalInstabilityError, match="did not converge"):
         svd_truncate(crand(*shape), chi_max=4)
     assert len(seen) == 3
@@ -140,7 +170,7 @@ def test_svd_of_non_finite_block_raises_at_once(monkeypatch):
     SVD."""
     m = crand(5, 4)
     m[2, 1] = np.nan
-    seen = _failing_svd(monkeypatch, failures=1)
+    seen = failing_svd(monkeypatch, failures=1)
     with pytest.raises(NumericalInstabilityError, match="non-finite"):
         svd_truncate(m, chi_max=4)
     assert len(seen) == 1
