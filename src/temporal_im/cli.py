@@ -6,9 +6,9 @@ one CSV per (experiment, chi[, boundary]) plus ``run_manifest.json``.  CSVs
 are deterministic for a fixed config and seed; the manifest is not (it
 records wall time).
 
-Every subcommand runs BLAS on one thread and spends the cores on
-independent solve points instead (see ``observables.SeriesPlan``), so CSV
-bytes do not depend on ``--threads`` or on the host's core count.
+Every subcommand runs BLAS on one thread and spends the cores on the
+CSVs instead, one job each (see ``run_experiment``), so CSV bytes do not
+depend on ``--threads`` or on the host's core count.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -156,6 +157,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError("entropy-scan over T_list needs h and either "
                               "eps_kick or J, g")
     _check_ranges(exp, raw)
+    if exp != "entropy-scan" and "boundary" in raw and not raw.get("reuse_im"):
+        raise ConfigError(f"experiment {exp!r} reads 'boundary' only with "
+                          "reuse_im = true: a fresh series is grown, and no "
+                          "boundary state enters it")
+    if raw.get("preserve_weak_bonds") and raw.get("cutoff", 0.0) != 0.0:
+        raise ConfigError("preserve_weak_bonds = true means cutoff = 0; "
+                          f"it contradicts cutoff = {raw['cutoff']}")
     return ExperimentConfig(exp, raw)
 
 
@@ -280,11 +288,14 @@ def _entropy_specs(cfg: ExperimentConfig) -> List[ModelSpec]:
 class SolveSummary:
     """Convergence record of the IMs behind one CSV, for the manifest.
 
-    Each IM is folded in as its point completes and not kept; fields are
-    maxima, counts and an exactly rounded sum, so the order of the points
-    does not matter.  Solves are the ``solve_im`` results.  An impurity
-    IM extends the solve before it by one slice: it adds its trace residual
-    and its slice's discarded weight, the last entry of its record.
+    It is the ``im_sink`` of the CSV's series: each IM is folded in as it
+    is made and not kept.  Fields are maxima, counts and an exactly rounded
+    sum, so the order of the IMs does not matter.  Solves are the
+    ``solve_im`` and ``grow_ims`` results.  A power-iteration solve adds
+    every iteration's discarded weight and its final deficit.  A grown IM
+    and an impurity IM each extend the IM before them by one slice, so
+    they add only the last entry of their weight record, and neither
+    records a deficit.  An impurity IM is not a solve.
     """
 
     def __init__(self):
@@ -295,14 +306,16 @@ class SolveSummary:
     def append(self, im) -> None:
         d = im.diagnostics
         self.max_trace_residual = max(self.max_trace_residual, d["trace_residual"][-1])
-        if "impurity_drift" in d:
+        if "deficit" in d:
+            self.max_final_deficit = max(self.max_final_deficit, d["deficit"][-1])
+            self._weights.extend(d["discarded_weight"])
+        else:
             self._weights.append(d["discarded_weight"][-1])
+        if "impurity_drift" in d:
             return
         self.solves += 1
         self.converged += bool(im.converged)
         self.max_iterations = max(self.max_iterations, im.iterations_applied)
-        self.max_final_deficit = max(self.max_final_deficit, d["deficit"][-1])
-        self._weights.extend(d["discarded_weight"])
 
     def as_dict(self) -> Dict[str, object]:
         return {"solves": self.solves, "converged": self.converged,
@@ -312,75 +325,58 @@ class SolveSummary:
                 "discarded_weight": math.fsum(self._weights)}
 
 
-def _series_plans(cfg: ExperimentConfig):
-    """((chi, boundary), SeriesPlan) pairs, one per output CSV, largest chi
-    first."""
-    from .observables import (autocorrelator_plan, entropy_plan,
-                              quench_magnetization_plan)
+def _series_jobs(cfg: ExperimentConfig):
+    """((chi, boundary), job) pairs, one per output CSV, largest chi first.
+    ``job(im_sink)`` computes the CSV's series through the library
+    ``*_series`` function, looked up on ``observables`` when it runs."""
+    from . import observables
 
     exp = cfg.experiment
     cutoff = cfg.get("cutoff", 0.0)
-    if cfg.get("preserve_weak_bonds", False):
-        cutoff = 0.0  # every Schmidt value above the round-off floor, up to chi
     reuse = cfg.get("reuse_im", False)
     if exp == "entropy-scan":
         specs = _entropy_specs(cfg)
 
-        def plan(chi, b):
-            return entropy_plan(specs, [chi], cutoff, boundary=b)
+        def job(chi, b, im_sink):
+            return observables.entropy_series(specs, [chi], cutoff, boundary=b,
+                                              im_sink=im_sink)
     elif exp == "quench":
-        def plan(chi, b):
-            return quench_magnetization_plan(
+        def job(chi, b, im_sink):
+            return observables.quench_magnetization_series(
                 cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
-                boundary=b, reuse_im=reuse)
+                boundary=b, reuse_im=reuse, im_sink=im_sink)
     else:
         spec = _spec_for(cfg)
 
-        def plan(chi, b):
-            return autocorrelator_plan(spec, chi, cutoff, spec.T, boundary=b,
-                                       reuse_im=reuse)
-    return [((chi, b), plan(chi, b)) for chi in sorted(cfg.chi, reverse=True)
+        def job(chi, b, im_sink):
+            return observables.autocorrelator_series(
+                spec, chi, cutoff, spec.T, boundary=b, reuse_im=reuse,
+                im_sink=im_sink)
+    return [((chi, b), partial(job, chi, b)) for chi in sorted(cfg.chi, reverse=True)
             for b in cfg.get("boundary", ["open"])]
 
 
-def _run_points(plans, workers: int):
-    """Solve every point of every plan; returns each plan's point rows and
-    the ``SolveSummary`` of its IMs.
+def _run_jobs(jobs, workers: int):
+    """Run every CSV's job with a fresh ``SolveSummary`` as its sink;
+    returns the series and the summaries, in job order.
 
-    Points start largest first: chi descending, then size descending.  With
-    more than one worker they run on a thread pool, and the calling thread
-    folds each point as it completes, so at most one point's IMs per worker
-    are alive.  A failing point cancels the points not yet started.
+    Jobs start in list order, largest chi first.  With more than one worker
+    they run on a thread pool; each summary is only touched by its job's
+    thread.  A failing job cancels the jobs not yet started.
     """
-    rows = [[None] * len(plan.points) for _, plan in plans]
-    summaries = [SolveSummary() for _ in plans]
-    tasks = sorted(((chi, size, i, j, fn)
-                    for i, ((chi, _), plan) in enumerate(plans)
-                    for j, (size, fn) in enumerate(plan.points)),
-                   key=lambda t: (-t[0], -t[1]))
-
-    def solve(fn):
-        ims: list = []
-        return fn(ims), ims
-
-    def fold(i, j, done):
-        rows[i][j], ims = done
-        for im in ims:
-            summaries[i].append(im)
-
+    summaries = [SolveSummary() for _ in jobs]
+    calls = [partial(job, summary) for (_, job), summary in zip(jobs, summaries)]
     if workers == 1:
-        for _, _, i, j, fn in tasks:
-            fold(i, j, solve(fn))
-        return rows, summaries
+        return [call() for call in calls], summaries
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futs = {pool.submit(solve, fn): (i, j) for _, _, i, j, fn in tasks}
+        futs = [pool.submit(call) for call in calls]
         try:
             for fut in concurrent.futures.as_completed(futs):
-                fold(*futs.pop(fut), fut.result())
+                fut.result()
         finally:
-            for fut in futs:  # on failure: the points not yet started
+            for fut in futs:  # on failure: the jobs not yet started
                 fut.cancel()
-    return rows, summaries
+    return [fut.result() for fut in futs], summaries
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
@@ -389,22 +385,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
     """Write the config's CSVs; returns their paths, the workers used and
     the ``SolveSummary`` of each CSV by file name.
 
-    The unit of work is one solve point (see ``SeriesPlan``).  ``threads``
-    caps the workers (see ``_thread_count``); with one worker the points run
-    serially on the calling thread.
+    The unit of work is one CSV.  ``threads`` caps the workers (see
+    ``_thread_count``); with one worker the jobs run serially on the
+    calling thread.
     """
-    plans = _series_plans(cfg)
-    workers = _thread_count(threads, sum(len(p.points) for _, p in plans))
-    rows, summaries = _run_points(plans, workers)
+    jobs = _series_jobs(cfg)
+    workers = _thread_count(threads, len(jobs))
+    series, summaries = _run_jobs(jobs, workers)
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
     if cfg.experiment == "entropy-scan" and "eps_list" in cfg.raw:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
     solves: Dict[str, dict] = {}
-    for ((chi, boundary), plan), point_rows, summary in zip(plans, rows, summaries):
+    for ((chi, boundary), _), ser, summary in zip(jobs, series, summaries):
         suffix = f"_chi{chi}" + ("" if boundary == "open" else f"_{boundary}")
         path = os.path.join(out_dir, f"{cfg.experiment}{suffix}.csv")
-        write_series_csv(path, plan.assemble(point_rows), chi, eps, boundary, seed)
+        write_series_csv(path, ser, chi, eps, boundary, seed)
         written.append(path)
         solves[os.path.basename(path)] = summary.as_dict()
     return written, workers, solves
@@ -492,12 +488,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(arg: Optional[int], n_points: int) -> int:
+def _thread_count(arg: Optional[int], n_jobs: int) -> int:
     """Workers: ``--threads``, else the usable cores; never more than the
-    solve points, never fewer than one."""
+    jobs (one per CSV), never fewer than one."""
     if arg is None:
         arg = _usable_cores()
-    return max(1, min(arg, n_points))
+    return max(1, min(arg, n_jobs))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -510,8 +506,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="output directory (default: the config's out, else .)")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--threads", type=int, default=None,
-                       help="solve points run at once (default: the "
-                            "usable cores; at most the points)")
+                       help="CSVs computed at once (default: the "
+                            "usable cores; at most the CSVs)")
     sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     args = parser.parse_args(argv)
     with one_blas_thread() as blas:

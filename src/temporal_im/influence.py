@@ -6,7 +6,9 @@ Because the circuit has a strict light cone, power iteration from any
 product boundary state lands on that eigenvector after ceil(T/2)
 applications at infinite temperature (gates outside both the forward and
 the backward cone cancel) and after T from a polarized state, where only
-the backward cone does; no eigensolver is involved.
+the backward cone does; no eigensolver is involved.  The IMs of every
+horizon 1..T also follow one from the next, one slice application each
+(``grow_ims``).
 
 Conventions.  An IM is a vector over the folded z-trajectory of the site it
 faces and includes the interaction phases on the bond linking that site to
@@ -18,8 +20,8 @@ the probed site.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -33,6 +35,12 @@ from .tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR,
 BOUNDARY_KINDS = ("open", "perfect_dephaser")
 
 _TRACE_MASK = (FOLDED_FWD == FOLDED_BWD).astype(complex)  # [1,0,0,1]
+# the trace mask as a site of unit norm, a right isometry, whose norm sqrt2
+# goes to norm_log; real in the real basis too, where the branch swap leaves
+# indices 0 and 3 alone
+_GROWTH_SITE = (_TRACE_MASK.real * np.sqrt(0.5)).reshape(1, 4, 1)
+_GROWTH_SITE.setflags(write=False)
+_GROWTH_LOG_NORM = 0.5 * float(np.log(2.0))
 # bond charge sigma_x sigma_y - sigmabar_x sigmabar_y, in {-2, 0, 2}
 _BOND_CHARGE = (np.outer(FOLDED_SIGMA, FOLDED_SIGMA)
                 - np.outer(FOLDED_SIGMA_BAR, FOLDED_SIGMA_BAR))
@@ -421,3 +429,40 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
                          converged=base.converged, diagnostics=diag)
     _normalize_trace(im)
     return im
+
+
+def grow_ims(spec: ModelSpec, chi_max: int,
+             cutoff: float = 0.0) -> Iterator[InfluenceMatrix]:
+    """The IMs of horizons k = 1..spec.T, one slice application each.
+
+    I_k = T_k(I_{k-1} (x) d) with d = [1, 0, 0, 1], exactly: the slice's
+    trace mask reads its input only where the absorbed spin's last folded
+    index is diagonal, and there causality makes the IM of length k the IM
+    of length k - 1 times 1.  Step k applies the length-k slice to the
+    previous state extended by d, written as the unit site d / sqrt2 and
+    its norm, which keeps the state right-canonical; step 1 starts from d
+    alone, so no boundary state enters.  The state stays in the real basis
+    between steps, and each yielded IM is rotated back and
+    trace-normalised; only the current one is kept.
+
+    A grown IM is exact up to truncation by construction: it reports
+    ``iterations_applied = 1`` and ``converged = True``, and no deficit or
+    drift.  Its ``discarded_weight`` record is its predecessor's followed by
+    its own step's.
+    """
+    psi = TemporalMps([], 0.0, 0)
+    weights: List[float] = []
+    for k in range(1, spec.T + 1):
+        sub = replace(spec, T=k)
+        r = _real_slice(sub).apply(
+            TemporalMps(psi.tensors + [_GROWTH_SITE],
+                        psi.norm_log + _GROWTH_LOG_NORM, 0),
+            chi_max, cutoff)
+        psi, weights = r.psi, weights + [r.discarded_weight]
+        diag: Dict[str, list] = {"discarded_weight": weights}
+        _record_entropies(diag, psi, r.entropies)
+        im = InfluenceMatrix(psi=_folded_mps(psi, 1.0), spec=sub,
+                             iterations_applied=1, converged=True,
+                             diagnostics=diag)
+        _normalize_trace(im)
+        yield im

@@ -12,13 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .influence import InfluenceMatrix, impurity_im, solve_im
+from .influence import InfluenceMatrix, grow_ims, impurity_im, solve_im
 from .models import (ID2, PAULI, LocalKernel, ModelSpec, floquet_kernel,
                      trotterize)
 from .mps import TemporalMps
@@ -237,27 +235,6 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
 # ------------------------------------------------------------------- series
 
-# The rows of a series or of one point: values, and extras columns by name.
-Rows = Tuple[List[complex], Dict[str, list]]
-
-
-class SeriesPlan(NamedTuple):
-    """A series split into independent solve points.
-
-    ``points`` holds ``(size, fn)`` pairs.  ``fn(im_sink)`` solves and
-    contracts one point and returns its rows; ``size`` is the point's T, by
-    which a scheduler can start the largest points first.  Points share no
-    state, so they may run in any order or at once.  ``assemble`` takes the
-    rows of every point, in point order, and returns the series.
-    """
-    points: List[Tuple[int, Callable[[Optional[list]], Rows]]]
-    assemble: Callable[[Sequence[Rows]], ResultSeries]
-
-    def run(self, im_sink: Optional[list] = None) -> ResultSeries:
-        """The series, its points solved one after another."""
-        return self.assemble([fn(im_sink) for _, fn in self.points])
-
-
 def _final_entropies(im: InfluenceMatrix):
     d = im.diagnostics
     if d.get("entropy_halfcut"):
@@ -273,72 +250,58 @@ def _im_rows(im: InfluenceMatrix, n: int) -> Dict[str, list]:
             "discarded_weight": [dw] * n, "chi": [im.psi.max_bond()] * n}
 
 
-def _join(head: Rows, rows: Sequence[Rows]) -> Rows:
-    """``head`` followed by the rows of every point."""
-    values = list(head[0])
-    extras = {k: list(col) for k, col in head[1].items()}
-    for vals, ex in rows:
-        values.extend(vals)
-        for k, col in ex.items():
-            extras[k].extend(col)
-    return values, extras
-
-
-def _solve(spec: ModelSpec, chi_max: int, cutoff: float, boundary: str,
-           im_sink: Optional[list]):
-    """Converged IM and contraction kernel for one parameter point."""
-    im = solve_im(spec, boundary=boundary, chi_max=chi_max, cutoff=cutoff)
+def _site_im(im: InfluenceMatrix, chi_max: int, cutoff: float,
+             im_sink: Optional[list]):
+    """The IM the probed site sees and its contraction kernel: ``im``
+    itself, or the impurity slice on top of it for an impurity spec.  Each
+    IM goes to ``im_sink`` as it is made."""
+    spec = im.spec
     if im_sink is not None:
         im_sink.append(im)
-    if spec.impurity is not None:
-        imp = impurity_im(spec, im, chi_max, cutoff)
-        if im_sink is not None:
-            im_sink.append(imp)
-        return imp, floquet_kernel(spec, "impurity_site")
-    return im, floquet_kernel(spec)
+    if spec.impurity is None:
+        return im, floquet_kernel(spec)
+    imp = impurity_im(spec, im, chi_max, cutoff)
+    if im_sink is not None:
+        im_sink.append(imp)
+    return imp, floquet_kernel(spec, "impurity_site")
 
 
-def _z_plan(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
-            cutoff: float, boundary: str, reuse_im: bool) -> SeriesPlan:
+def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
+              cutoff: float, boundary: str, reuse_im: bool,
+              im_sink: Optional[list]) -> ResultSeries:
     """Forward sigma^z at time k after the time-0 entries ``base``, for
     k = 0..spec.T (the k = 0 row is 1 by convention).
 
-    Fresh: one point per k, each a solve and one contraction.  Reuse: one
-    point, a solve at spec.T scanned over k.
+    Reuse: one solve at spec.T, scanned over k.  Fresh: the IM of every
+    length k, grown one slice application from the last (``grow_ims``) and
+    contracted once.  Growth starts without a boundary state, so a fresh
+    series takes only the default ``boundary``.
     """
-    T = spec.T
+    if not reuse_im and boundary != "open":
+        raise ValueError(f"boundary {boundary!r} needs reuse_im: a fresh "
+                         "series is grown, and no boundary state enters it")
+    nan = float("nan")
+    values = [complex(1.0)]
+    extras = {"entropy_halfcut": [nan], "entropy_max": [nan],
+              "discarded_weight": [nan], "chi": [0]}
 
-    def scan(im_sink):
-        im, kern = _solve(spec, chi_max, cutoff, boundary, im_sink)
-        return list(_contract_scan(im, kern, InsertionPlan(base))), _im_rows(im, T)
+    def add(vals, im):
+        values.extend(vals)
+        for key, col in _im_rows(im, len(vals)).items():
+            extras[key].extend(col)
 
-    def fresh(k, im_sink):
-        im, kern = _solve(replace(spec, T=k), chi_max, cutoff, boundary, im_sink)
-        plan = InsertionPlan(base + [Insertion(k, "forward", "z")])
-        return [temporal_contract(im, kern, plan)], _im_rows(im, 1)
-
-    def assemble(rows):
-        nan = float("nan")
-        head = ([complex(1.0)], {"entropy_halfcut": [nan], "entropy_max": [nan],
-                                 "discarded_weight": [nan], "chi": [0]})
-        values, extras = _join(head, rows)
-        step = spec.eps if spec.eps > 0 else 1.0
-        return ResultSeries(name, np.arange(T + 1) * step, np.asarray(values), extras)
-
-    points = ([(T, scan)] if reuse_im
-              else [(k, partial(fresh, k)) for k in range(1, T + 1)])
-    return SeriesPlan(points, assemble)
-
-
-def autocorrelator_plan(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
-                        T_max: Optional[int] = None, *, boundary: str = "open",
-                        reuse_im: bool = False) -> SeriesPlan:
-    """``autocorrelator_series`` as independent solve points."""
-    if spec.initial_state != "infinite_temperature":
-        raise ValueError("autocorrelator needs the infinite-temperature state")
-    sp = spec if T_max is None else replace(spec, T=T_max)
-    return _z_plan("autocorrelator", sp, [Insertion(0, "forward", "z")],
-                   chi_max, cutoff, boundary, reuse_im)
+    if reuse_im:
+        im = solve_im(spec, boundary=boundary, chi_max=chi_max, cutoff=cutoff)
+        im, kern = _site_im(im, chi_max, cutoff, im_sink)
+        add(_contract_scan(im, kern, InsertionPlan(base)), im)
+    else:
+        for grown in grow_ims(spec, chi_max, cutoff):
+            im, kern = _site_im(grown, chi_max, cutoff, im_sink)
+            plan = InsertionPlan(base + [Insertion(grown.T, "forward", "z")])
+            add([temporal_contract(im, kern, plan)], im)
+    step = spec.eps if spec.eps > 0 else 1.0
+    return ResultSeries(name, np.arange(spec.T + 1) * step, np.asarray(values),
+                        extras)
 
 
 def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
@@ -347,22 +310,20 @@ def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
                           im_sink: Optional[list] = None) -> ResultSeries:
     """Infinite-temperature C_zz(T) for T = 0..T_max.
 
-    By default every T gets a freshly converged IM.  With ``reuse_im`` one
-    solve at T_max serves all earlier times through intermediate insertions;
-    exact for converged IMs, cheaper by a factor of T_max.
+    By default the IMs of every T are grown in one slice chain, one
+    application per T (``grow_ims``), and each is contracted once.  With
+    ``reuse_im`` one solve at T_max serves all earlier times through
+    intermediate insertions; exact for converged IMs.  Growth costs about
+    T_max^2 / 2 site steps, so a solve that converges in a few applications
+    is cheaper at large T_max.  ``boundary`` other than ``open`` needs
+    ``reuse_im``.  ``im_sink`` is any object with ``append``; it receives
+    every IM as it is made.
     """
-    return autocorrelator_plan(spec, chi_max, cutoff, T_max, boundary=boundary,
-                               reuse_im=reuse_im).run(im_sink)
-
-
-def quench_magnetization_plan(J: float, g: float, h: float, t_max: float,
-                              eps: float, chi_max: int, cutoff: float = 0.0,
-                              *, boundary: str = "open",
-                              reuse_im: bool = False) -> SeriesPlan:
-    """``quench_magnetization_series`` as independent solve points."""
-    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
-    return _z_plan("quench-magnetization", spec, [], chi_max, cutoff,
-                   boundary, reuse_im)
+    if spec.initial_state != "infinite_temperature":
+        raise ValueError("autocorrelator needs the infinite-temperature state")
+    sp = spec if T_max is None else replace(spec, T=T_max)
+    return _z_series("autocorrelator", sp, [Insertion(0, "forward", "z")],
+                     chi_max, cutoff, boundary, reuse_im, im_sink)
 
 
 def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
@@ -370,43 +331,11 @@ def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
                                 *, boundary: str = "open",
                                 reuse_im: bool = False,
                                 im_sink: Optional[list] = None) -> ResultSeries:
-    """<sigma^z_0(t)> after a quench from the fully z-polarized state."""
-    return quench_magnetization_plan(J, g, h, t_max, eps, chi_max, cutoff,
-                                     boundary=boundary,
-                                     reuse_im=reuse_im).run(im_sink)
-
-
-def entropy_plan(specs: Sequence[ModelSpec], chi_list: Sequence[int],
-                 cutoff: float = 0.0, *, boundary: str = "open",
-                 abscissa: Optional[Sequence[float]] = None) -> SeriesPlan:
-    """``entropy_series`` as independent solve points, one per spec."""
-    chis = sorted(chi_list)
-
-    def point(spec, im_sink):
-        halves = []
-        for c in chis:
-            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff)
-            if im_sink is not None:
-                im_sink.append(im)
-            halves.append(_final_entropies(im)[0])
-        half = halves[-1]
-        converged = (len(halves) < 2
-                     or abs(half - halves[-2]) / max(abs(half), 1e-30) <= 0.02)
-        return [complex(half)], {**_im_rows(im, 1), "chi_converged": [converged],
-                                 "by_chi": [halves]}
-
-    def assemble(rows):
-        head = ([], {"entropy_halfcut": [], "entropy_max": [],
-                     "discarded_weight": [], "chi": [], "chi_converged": [],
-                     "by_chi": []})
-        values, extras = _join(head, rows)
-        per_point = extras["by_chi"]
-        extras["by_chi"] = {c: [h[i] for h in per_point] for i, c in enumerate(chis)}
-        xs = (np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
-              if abscissa is None else np.asarray(abscissa, dtype=float))
-        return ResultSeries("temporal-entropy", xs, np.asarray(values), extras)
-
-    return SeriesPlan([(s.T, partial(point, s)) for s in specs], assemble)
+    """<sigma^z_0(t)> after a quench from the fully z-polarized state; the
+    options are those of ``autocorrelator_series``."""
+    spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
+    return _z_series("quench-magnetization", spec, [], chi_max, cutoff,
+                     boundary, reuse_im, im_sink)
 
 
 def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
@@ -419,5 +348,28 @@ def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
     the reported value comes from the largest chi, and the point counts as
     chi-converged when the two largest chis agree within 2%.
     """
-    return entropy_plan(specs, chi_list, cutoff, boundary=boundary,
-                        abscissa=abscissa).run(im_sink)
+    chis = sorted(chi_list)
+    values: List[complex] = []
+    extras: Dict[str, list] = {"entropy_halfcut": [], "entropy_max": [],
+                               "discarded_weight": [], "chi": [],
+                               "chi_converged": []}
+    by_chi: Dict[int, list] = {c: [] for c in chis}
+    for spec in specs:
+        halves = []
+        for c in chis:
+            im = solve_im(spec, boundary=boundary, chi_max=c, cutoff=cutoff)
+            if im_sink is not None:
+                im_sink.append(im)
+            halves.append(_final_entropies(im)[0])
+            by_chi[c].append(halves[-1])
+        half = halves[-1]
+        values.append(complex(half))
+        for key, col in _im_rows(im, 1).items():
+            extras[key].extend(col)
+        extras["chi_converged"].append(
+            len(halves) < 2
+            or abs(half - halves[-2]) / max(abs(half), 1e-30) <= 0.02)
+    extras["by_chi"] = by_chi
+    xs = (np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
+          if abscissa is None else np.asarray(abscissa, dtype=float))
+    return ResultSeries("temporal-entropy", xs, np.asarray(values), extras)

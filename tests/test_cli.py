@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import sys
 import time
@@ -329,29 +330,68 @@ def test_manifest_solve_summary(tmp_path, monkeypatch):
     assert conv["max_trace_residual"] < 1e-10
     assert 0.0 < conv["discarded_weight"] <= sum(floor_weights)
 
-    # impurity: base solves plus one slice each; no weight counted twice
+    # impurity: one grown IM and one impurity slice per T.  A grown IM's
+    # weight record is its predecessor's plus its own step, and an impurity
+    # IM's is its base's plus its slice; the manifest counts each step once
+    from temporal_im.observables import autocorrelator_series
     imp, rows = _run_summary(tmp_path, "impurity", TINY_IMPURITY)
-    assert imp["solves"] == 6
-    total = sum(float(r[5]) for r in rows[1:])
-    assert imp["discarded_weight"] > 0.0
-    assert np.isclose(imp["discarded_weight"], total, rtol=1e-12)
+    assert imp["solves"] == imp["converged"] == 6
+    assert imp["max_iterations"] == 1 and imp["max_final_deficit"] == 0.0
+    ims = []
+    autocorrelator_series(cli._spec_for(parse_config_text(TINY_IMPURITY)), 4,
+                          0.0, im_sink=ims)
+    grown, slices = ims[0::2], ims[1::2]
+    assert all("impurity_drift" in im.diagnostics for im in slices)
+    steps = [im.diagnostics["discarded_weight"][-1] for im in grown]
+    assert grown[-1].diagnostics["discarded_weight"] == steps
+    total = math.fsum(steps + [im.diagnostics["discarded_weight"][-1] for im in slices])
+    assert imp["discarded_weight"] == total > 0.0
+    # a CSV row reports the whole record behind its IM
+    assert float(rows[-1][5]) == math.fsum(slices[-1].diagnostics["discarded_weight"])
     assert all(float(r[3]) > 0.0 for r in rows[2:])  # half-cut entropy, T >= 2
 
 
 def test_preserve_weak_bonds_means_cutoff_zero(tmp_path):
-    """The config key maps to cutoff 0, whatever cutoff says.  At chi = 4
-    cutoffs of 1e-8 and 1e-6 drop nothing the round-off floor keeps, so the
-    overridden cutoff is 1e-4."""
+    """The config key is cutoff 0: the CSV is the one of ``cutoff = 0``,
+    with or without that line beside the key."""
     base = TINY_IMPURITY.replace("cutoff = 0\n", "")
     csv = {}
-    for tag, extra in (("pwb", "cutoff = 1e-4\npreserve_weak_bonds = true\n"),
-                       ("zero", "cutoff = 0\n"), ("cut", "cutoff = 1e-4\n")):
+    for tag, extra in (("pwb", "preserve_weak_bonds = true\n"),
+                       ("both", "cutoff = 0\npreserve_weak_bonds = true\n"),
+                       ("zero", "cutoff = 0\n")):
         cfgp = tmp_path / f"{tag}.cfg"
         cfgp.write_text(base + extra)
         assert cli.main(["run", str(cfgp), "--out", str(tmp_path / tag)]) == 0
         csv[tag] = (tmp_path / tag / "hamiltonian-impurity_chi4.csv").read_bytes()
-    assert csv["pwb"] == csv["zero"]
-    assert csv["cut"] != csv["zero"]  # the cutoff it overrides does bite here
+    assert csv["pwb"] == csv["both"] == csv["zero"]
+
+
+def test_preserve_weak_bonds_next_to_a_cutoff_is_a_config_error(tmp_path, capsys):
+    """``preserve_weak_bonds = true`` beside a non-zero cutoff would override
+    it; the pair stops the run at parse time."""
+    cfgp = tmp_path / "pwb.cfg"
+    cfgp.write_text(TINY_IMPURITY.replace("cutoff = 0", "cutoff = 1e-4")
+                    + "preserve_weak_bonds = true\n")
+    assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    assert "contradicts cutoff = 0.0001" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_boundary_on_a_fresh_series_is_a_config_error(tmp_path, capsys):
+    """A fresh series is grown without a boundary state, so a ``boundary``
+    key on a z experiment needs ``reuse_im = true``; ``entropy-scan`` solves
+    from the boundary and keeps it."""
+    out = tmp_path / "o"
+    cfgp = tmp_path / "b.cfg"
+    for text in (TINY_QUENCH + "boundary = open\n",
+                 TINY_FLOQUET + "boundary = perfect_dephaser\nreuse_im = false\n"):
+        cfgp.write_text(text)
+        assert cli.main(["run", str(cfgp), "--out", str(out)]) == 2
+        assert "reads 'boundary' only with reuse_im = true" in capsys.readouterr().err
+        assert not out.exists()
+    for text in (TINY_QUENCH + "boundary = open\nreuse_im = true\n",
+                 TINY_SCAN + "T_list = 2\nboundary = perfect_dephaser\n"):
+        assert isinstance(parse_config_text(text), cli.ExperimentConfig)
 
 
 SPY_CONFIGS = {
@@ -367,10 +407,11 @@ SPY_CONFIGS = {
 @pytest.mark.parametrize("weak", [False, True], ids=["cutoff", "preserve_weak_bonds"])
 @pytest.mark.parametrize("name", list(SPY_CONFIGS))
 def test_every_solve_gets_the_config_chi_and_cutoff(tmp_path, monkeypatch, name, weak):
-    """Every ``solve_im`` and ``impurity_im`` call of a run receives the
-    config's chi and cutoff, and cutoff 0 under ``preserve_weak_bonds``.
-    The golden files do not see this: on some workloads the cutoff moves
-    no value beyond round-off."""
+    """Every ``solve_im``, ``grow_ims`` and ``impurity_im`` call of a run
+    receives the config's chi and cutoff, and cutoff 0 under
+    ``preserve_weak_bonds``.  Fresh z series grow their IMs, the others
+    solve them.  The golden files do not see this: on some workloads the
+    cutoff moves no value beyond round-off."""
     import inspect
     from temporal_im import influence, observables
 
@@ -387,19 +428,21 @@ def test_every_solve_gets_the_config_chi_and_cutoff(tmp_path, monkeypatch, name,
             return real(*args, **kwargs)
         return wrapped
 
-    for fn in (influence.solve_im, influence.impurity_im):
+    for fn in (influence.solve_im, influence.grow_ims, influence.impurity_im):
         monkeypatch.setattr(observables, fn.__name__, spy(fn))
     text = "\n".join(line for line in SPY_CONFIGS[name].splitlines()
                      if not line.startswith(("chi", "cutoff")))
-    text += "\nchi = 4,3\ncutoff = 1e-9\n"
-    if weak:
-        text += "preserve_weak_bonds = true\n"
+    text += "\nchi = 4,3\n" + ("preserve_weak_bonds = true\n" if weak
+                                else "cutoff = 1e-9\n")
     cfgp = tmp_path / "spy.cfg"
     cfgp.write_text(text)
     assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "o")]) == 0
     assert {chi for _, chi, _ in calls} == {4, 3}
     assert {cut for _, _, cut in calls} == {0.0 if weak else 1e-9}
-    assert ("impurity_im" in {f for f, _, _ in calls}) == (name == "impurity")
+    names = {f for f, _, _ in calls}
+    assert ("impurity_im" in names) == (name == "impurity")
+    solved = name in ("floquet-reuse", "entropy-scan")
+    assert ("solve_im" in names, "grow_ims" in names) == (solved, not solved)
 
 
 def test_bundled_configs_parse():
@@ -416,9 +459,10 @@ def test_bundled_configs_parse():
 
 def test_quench_boundaries(tmp_path):
     from temporal_im.observables import quench_magnetization_series
+    reuse = TINY_QUENCH + "reuse_im = true\n"
     plain, both = tmp_path / "plain.cfg", tmp_path / "both.cfg"
-    plain.write_text(TINY_QUENCH)
-    both.write_text(TINY_QUENCH + "boundary = open,perfect_dephaser\n")
+    plain.write_text(reuse)
+    both.write_text(reuse + "boundary = open,perfect_dephaser\n")
     assert cli.main(["run", str(plain), "--out", str(tmp_path / "p")]) == 0
     assert cli.main(["run", str(both), "--out", str(tmp_path / "b")]) == 0
     for chi in (8, 4):
@@ -434,9 +478,10 @@ def test_quench_boundaries(tmp_path):
     rows = dephased.decode().splitlines()[1:]
     got = np.array([float(r.split(",")[1]) for r in rows])
     ser = quench_magnetization_series(1.0, 0.25, 0.4, 0.6, 0.2, 4, 1e-12,
-                                      boundary="perfect_dephaser")
+                                      boundary="perfect_dephaser", reuse_im=True)
     assert np.array_equal(got, ser.values.real)
-    ref = quench_magnetization_series(1.0, 0.25, 0.4, 0.6, 0.2, 4, 1e-12)
+    ref = quench_magnetization_series(1.0, 0.25, 0.4, 0.6, 0.2, 4, 1e-12,
+                                      reuse_im=True)
     assert np.max(np.abs(ser.values - ref.values)) > 1e-12
 
 
@@ -480,7 +525,7 @@ def test_thread_layout(tmp_path):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
-FRESH_FLOQUET = """
+FLOQUET_FOUR_CSVS = """
 experiment = floquet-czz
 J = 0.8
 g = 0.7236
@@ -489,20 +534,21 @@ T_max = 6
 chi = 8,4
 cutoff = 1e-12
 boundary = open,perfect_dephaser
+reuse_im = true
 """
 
 
 @pytest.mark.parametrize("text,files", [
     (TINY_IMPURITY, {"hamiltonian-impurity_chi4.csv": (4, "open")}),
-    (FRESH_FLOQUET, {"floquet-czz_chi8.csv": (8, "open"),
-                     "floquet-czz_chi8_perfect_dephaser.csv": (8, "perfect_dephaser"),
-                     "floquet-czz_chi4.csv": (4, "open"),
-                     "floquet-czz_chi4_perfect_dephaser.csv": (4, "perfect_dephaser")}),
+    (FLOQUET_FOUR_CSVS, {"floquet-czz_chi8.csv": (8, "open"),
+                         "floquet-czz_chi8_perfect_dephaser.csv": (8, "perfect_dephaser"),
+                         "floquet-czz_chi4.csv": (4, "open"),
+                         "floquet-czz_chi4_perfect_dephaser.csv": (4, "perfect_dephaser")}),
 ], ids=["impurity", "floquet_two_chi"])
 def test_fresh_points_fan_out(tmp_path, text, files):
-    """A fresh series' solves spread over the workers; the CSVs and solve
-    summaries do not depend on how many, and match the library's serial
-    series."""
+    """One job per CSV: the CSVs and solve summaries do not depend on the
+    workers, and equal the library's series and a ``SolveSummary`` fed as
+    its sink, bitwise."""
     from temporal_im.observables import autocorrelator_series
     cfgp = tmp_path / "f.cfg"
     cfgp.write_text(text)
@@ -512,25 +558,41 @@ def test_fresh_points_fan_out(tmp_path, text, files):
                          "--threads", str(n)]) == 0
         mans[n] = json.loads((tmp_path / f"t{n}" / "run_manifest.json").read_text())
         assert mans[n]["files"] == list(files)
-        assert mans[n]["threads"]["jobs"] == n
+        assert mans[n]["threads"]["jobs"] == min(n, len(files))
     assert mans[1]["solves"] == mans[2]["solves"]
     for name in files:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
     cfg = parse_config_text(text)
     spec = cli._spec_for(cfg)
     for name, (chi, boundary) in files.items():
+        summary = cli.SolveSummary()
         ser = autocorrelator_series(spec, chi, cfg.get("cutoff", 0.0),
-                                    boundary=boundary)
+                                    boundary=boundary,
+                                    reuse_im=cfg.get("reuse_im", False),
+                                    im_sink=summary)
         rows = (tmp_path / "t2" / name).read_text().splitlines()[1:]
         got = np.array([complex(float(r.split(",")[1]), float(r.split(",")[2]))
                         for r in rows])
         assert np.array_equal(got, ser.values)
+        assert json.loads(json.dumps(summary.as_dict())) == mans[2]["solves"][name]
+
+
+SIX_CSVS = """
+experiment = floquet-czz
+J = 0.8
+g = 0.7236
+h = 0.6472
+T_max = 6
+chi = 8,7,6,5,4,3
+cutoff = 1e-12
+reuse_im = true
+"""
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_failing_point_cancels_the_rest(tmp_path, monkeypatch, capsys, threads):
-    """A point that raises NumericalInstabilityError stops the run with exit
-    3; the points not yet started never run."""
+    """A job that raises NumericalInstabilityError stops the run with exit
+    3; the jobs not yet started never run."""
     from temporal_im import observables
     from temporal_im.influence import NumericalInstabilityError
 
@@ -538,32 +600,31 @@ def test_failing_point_cancels_the_rest(tmp_path, monkeypatch, capsys, threads):
     calls = []
 
     def solve(spec, **kwargs):
-        calls.append(spec.T)
-        if spec.T == 6:  # the largest point, scheduled first
+        calls.append(kwargs["chi_max"])
+        if kwargs["chi_max"] == 8:  # the largest chi, scheduled first
             raise NumericalInstabilityError("planted failure")
         time.sleep(0.05)
         return real_solve(spec, **kwargs)
 
     monkeypatch.setattr(observables, "solve_im", solve)
     cfgp = tmp_path / "f.cfg"
-    cfgp.write_text(FRESH_FLOQUET.replace("chi = 8,4", "chi = 4")
-                    .replace("boundary = open,perfect_dephaser", ""))
+    cfgp.write_text(SIX_CSVS)
     out = tmp_path / "o"
     assert cli.main(["run", str(cfgp), "--out", str(out),
                      "--threads", str(threads)]) == 3
     assert "planted failure" in capsys.readouterr().err
-    # each other worker holds one point, and the failing worker may take
-    # one more before the calling thread cancels the queue
-    assert calls[0] == 6 and len(calls) <= 2 * threads - 1 < 6
+    # each other worker holds one job, and the failing worker may take one
+    # more before the calling thread cancels the queue
+    assert 8 in calls and len(calls) <= 2 * threads - 1 < 6
     assert not out.exists()
 
 
 def test_points_stress_more_workers_than_cores(tmp_path):
-    """Many small points on more workers than cores, with thread switches
-    forced often: every point is folded once, and the output is the serial
-    one."""
+    """Many small jobs on more workers than cores, with thread switches
+    forced often: every job's summary sees its own IMs only, and the output
+    is the serial one."""
     cfgp = tmp_path / "f.cfg"
-    cfgp.write_text(FRESH_FLOQUET)
+    cfgp.write_text(SIX_CSVS + "boundary = open,perfect_dephaser\n")
     assert cli.main(["run", str(cfgp), "--out", str(tmp_path / "t1"),
                      "--threads", "1"]) == 0
     interval = sys.getswitchinterval()
@@ -577,6 +638,7 @@ def test_points_stress_more_workers_than_cores(tmp_path):
                     for d in ("t1", "t5"))
     assert many["threads"]["jobs"] == 5
     assert many["solves"] == serial["solves"]
-    assert all(s["solves"] == 6 for s in many["solves"].values())
+    assert len(many["files"]) == 12
+    assert all(s["solves"] == 1 for s in many["solves"].values())
     for name in serial["files"]:
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t5" / name).read_bytes()

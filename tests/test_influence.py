@@ -13,7 +13,7 @@ from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
                                    _overlap_deficit, _real_basis, _real_mpo,
                                    _real_mps, _real_slice, boundary_mps,
                                    build_disorder_slice, build_transfer_slice,
-                                   impurity_im, solve_im)
+                                   grow_ims, impurity_im, solve_im)
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
@@ -110,6 +110,29 @@ def test_exact_fixed_point_at_light_cone(kind, boundary, T):
     assert _gap(_exact_iterate(pol, boundary, T), final) < 1e-12
     if pol.disorder is None:  # the average can close the cone sooner
         assert _gap(_exact_iterate(pol, boundary, n_lc), final) > 1e-6
+
+
+@pytest.mark.parametrize("initial_state", ["infinite_temperature",
+                                           "z_polarized_up"])
+@pytest.mark.parametrize("kind", sorted(LIGHT_CONE_SPECS))
+def test_grown_ims_are_the_exact_fixed_points(kind, initial_state):
+    """One slice application per horizon reaches the untruncated power
+    iteration's fixed point at every k; compared at k = 5, 6, 7 against
+    the full light-cone budget, to 1e-12 relative."""
+    spec = ModelSpec(T=7, initial_state=initial_state, **LIGHT_CONE_SPECS[kind])
+    grown = list(grow_ims(spec, chi_max=4 ** spec.T, cutoff=0.0))
+    assert [im.T for im in grown] == list(range(1, 8))
+    for im in grown[4:]:
+        ref = solve_im(im.spec, chi_max=4 ** im.T, cutoff=0.0, tol=-math.inf,
+                       max_iters=im.T + 2)
+        got, want = im.psi.dense(), ref.psi.dense()  # both trace-normalised
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert im.iterations_applied == 1 and im.converged
+        assert "deficit" not in im.diagnostics and "drift" not in im.diagnostics
+        assert im.diagnostics["trace_residual"][-1] < 1e-12
+    # each record is its predecessor's plus its own step
+    for prev, im in zip(grown, grown[1:]):
+        assert im.diagnostics["discarded_weight"][:-1] == prev.diagnostics["discarded_weight"]
 
 
 def test_drift_guard_starts_at_light_cone():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap,
                              product_mps)
-from temporal_im.tensor import NumericalInstabilityError
+from temporal_im.tensor import NumericalInstabilityError, svd_truncate
 
 from helpers import failing_svd, overlap_tensordot, zipup_tensordot
 
@@ -189,6 +191,26 @@ def test_zipup_truncation_reports_weight():
     res = apply_mpo_zipup(op, psi, chi_max=6, cutoff=0.0)
     assert res.psi.max_bond() <= 6
     assert res.discarded_weight > 0.0
+
+
+def test_tiny_discarded_weight_is_exact_to_relative_precision():
+    """A discarded weight near 1e-20 keeps its relative size: a 4x3 block
+    with singular values 1, 1e-10 and 1e-11 (rows and signs shuffled, so
+    its SVD is exact) cut to chi = 1 drops 1e-20 + 1e-22.  The golden
+    files bound this column absolutely and cannot see it."""
+    m = np.zeros((4, 3))
+    m[2, 0], m[0, 1], m[3, 2] = 1.0, -1e-10, 1e-11
+    want = math.fsum([1e-10 ** 2, 1e-11 ** 2])
+    f = svd_truncate(m, chi_max=1)
+    assert np.array_equal(f.s, [1.0])
+    assert abs(f.discarded_weight - want) <= 1e-12 * want
+    # one zip-up through the identity cuts the same block at its first bond
+    psi = TemporalMps([m.reshape(1, 4, 3), np.ones((3, 4, 1))])
+    op = TemporalMpo([np.eye(4).reshape(1, 4, 4, 1)] * 2)
+    frac = want / (1.0 + want)  # relative to the block's whole weight
+    res = apply_mpo_zipup(op, psi, chi_max=1)
+    assert res.psi.max_bond() == 1
+    assert abs(res.discarded_weight - frac) <= 1e-12 * frac
 
 
 @settings(max_examples=25, deadline=None)

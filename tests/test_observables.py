@@ -157,6 +157,19 @@ def test_entropy_series_reports_chi_convergence():
     assert set(ser.extras["by_chi"]) == {8, 64}
 
 
+def test_fresh_series_takes_no_boundary():
+    """A fresh series is grown without a boundary state: any boundary but
+    the default raises, and with ``reuse_im`` the boundary is read."""
+    pol = dict(J=1.0, g=0.25, h=0.4, t_max=0.6, eps=0.2, chi_max=4, cutoff=1e-12)
+    with pytest.raises(ValueError, match="needs reuse_im"):
+        autocorrelator_series(SPEC, chi_max=8, boundary="perfect_dephaser")
+    with pytest.raises(ValueError, match="needs reuse_im"):
+        quench_magnetization_series(**pol, boundary="perfect_dephaser")
+    a = quench_magnetization_series(**pol, boundary="perfect_dephaser", reuse_im=True)
+    b = quench_magnetization_series(**pol, reuse_im=True)
+    assert np.max(np.abs(a.values - b.values)) > 1e-12
+
+
 def test_im_sink_collects_converged_ims():
     sink = []
     autocorrelator_series(SPEC, chi_max=64, cutoff=0.0, im_sink=sink)
