@@ -7,7 +7,8 @@ import numpy as np
 from temporal_im.influence import InfluenceMatrix
 from temporal_im.mps import TemporalMpo, TemporalMps, ZipupResult
 from temporal_im.observables import Insertion, InsertionPlan
-from temporal_im.tensor import _openblas_libs, svd_truncate
+from temporal_im import tensor
+from temporal_im.tensor import _GRAM_TAU, _openblas_libs, svd_truncate
 
 
 def im_bits(im: InfluenceMatrix) -> tuple:
@@ -51,6 +52,20 @@ def failing_svd(monkeypatch, failures: int) -> list:
     return seen
 
 
+def gram_cut_spy(monkeypatch) -> list:
+    """Spy on ``tensor._gram_cut``: one entry per call, True where it took
+    the cut."""
+    real, calls = tensor._gram_cut, []
+
+    def gram_cut(m, chi_max, rel):
+        f = real(m, chi_max, rel)
+        calls.append(f is not None)
+        return f
+
+    monkeypatch.setattr(tensor, "_gram_cut", gram_cut)
+    return calls
+
+
 # ---- np.tensordot references of the contraction kernels in ``mps``; the
 # kernels must match them bit for bit
 
@@ -72,17 +87,21 @@ def _entropy_ref(s: np.ndarray) -> float:
 
 def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
                     cutoff: float = 0.0) -> ZipupResult:
-    """``apply_mpo_zipup`` written with np.tensordot and np.linalg.norm."""
+    """``apply_mpo_zipup`` written with np.tensordot and np.linalg.norm.  Its
+    first sweep asks for the Gram cut where the kernel does: after a cut
+    that kept ``chi_max`` values, the last at least ``_GRAM_TAU`` times the
+    first."""
     T, norm_log, discarded, out = psi.T, psi.norm_log, 0.0, []
 
-    def event(m):
-        u, s, vh, w = svd_truncate(m, chi_max, cutoff)
+    def event(m, gram=False):
+        u, s, vh, w = svd_truncate(m, chi_max, cutoff, gram=gram)
         total = float(np.sum(s ** 2)) + w
         nonlocal discarded
         discarded += w / total if total > 0 else 0.0
         return u, s, vh
 
     zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    gram = False
     for i in range(T):
         tmp = np.tensordot(zipper, psi.tensors[i], axes=(2, 0))
         theta = np.tensordot(tmp, op.tensors[i], axes=([1, 2], [0, 2]))
@@ -91,7 +110,8 @@ def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         if i == T - 1:
             out.append(theta.reshape(c, 4, wr * ar))
             break
-        u, s, vh = event(theta.reshape(c * 4, wr * ar))
+        u, s, vh = event(theta.reshape(c * 4, wr * ar), gram)
+        gram = len(s) == chi_max and s[-1] >= _GRAM_TAU * s[0]
         out.append(u.reshape(c, 4, -1))
         sn = float(np.linalg.norm(s))
         if sn > 0:

@@ -41,6 +41,8 @@ import pytest
 
 from temporal_im import cli
 
+from helpers import gram_cut_spy
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CONFIGS = ("floquet-chaotic", "quench-confined", "dtc-disorder",
            "impurity-fresh", "fig2-small", "fig3-small", "fig4-small",
@@ -78,6 +80,10 @@ SOLVE_COUNTS = ("solves", "converged", "max_iterations")
 SOLVE_FLOATS = {"max_final_deficit": "entropy_max",
                 "max_trace_residual": "entropy_max",
                 "discarded_weight": "discarded_weight"}
+# ...except where a field has a bound of its own: dtc-disorder's trace
+# residual moved by 5.4e-14 under gesvd, 4.6e-14 under two BLAS threads and
+# 3.5e-14 under h + 1 ulp
+SOLVE_BOUNDS = {"dtc-disorder": {"max_trace_residual": 6e-13}}
 
 
 def _run(name: str, out: str) -> dict:
@@ -130,10 +136,25 @@ def test_golden_outputs(tmp_path, name):
         for key in SOLVE_COUNTS:
             assert got[key] == want[key], key
         for key, col in SOLVE_FLOATS.items():
-            note(f"solves.{key}", abs(got[key] - want[key]), bounds[col])
+            note(f"solves.{key}", abs(got[key] - want[key]),
+                 SOLVE_BOUNDS.get(name, {}).get(key, bounds[col]))
     print(f"{name}: " + ", ".join(f"{k} {g:.2g}" for k, (g, _) in gaps.items()))
     over = {k: g for k, (g, b) in gaps.items() if g > b}
     assert not over, f"{name} moved beyond its bounds: {over}"
+
+
+@pytest.mark.parametrize("name, asks", [
+    ("quench-confined", False), ("impurity-fresh", False), ("dtc-disorder", True)])
+def test_gram_attempts(tmp_path, monkeypatch, name, asks):
+    """The zip-up asks for a Gram cut only after a cap-bound, resolved cut.
+    The quench's spectrum at the cap sits near 1e-8 s_0 and the cutoff-0
+    impurity bonds stop below the cap, so neither asks once and both keep
+    gesdd's bytes.  The DTC workload asks, and nearly every ask succeeds."""
+    calls = gram_cut_spy(monkeypatch)
+    _run(name, str(tmp_path))
+    print(f"{name}: {sum(calls)} of {len(calls)} Gram attempts succeeded")
+    assert (len(calls) > 0) == asks
+    assert sum(calls) >= 0.9 * len(calls)
 
 
 def regenerate(root: str = GOLDEN) -> None:

@@ -9,7 +9,8 @@ from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              product_mps)
 from temporal_im.tensor import NumericalInstabilityError, svd_truncate
 
-from helpers import failing_svd, overlap_tensordot, zipup_tensordot
+from helpers import (failing_svd, gram_cut_spy, overlap_tensordot,
+                     zipup_tensordot)
 
 rng = np.random.default_rng(11)
 
@@ -143,9 +144,10 @@ def _real_part(x):
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 @pytest.mark.parametrize("case", ["shared", "capped", "fortran"])
-def test_zipup_is_bitwise_the_tensordot_zipup(case, real):
+def test_zipup_is_bitwise_the_tensordot_zipup(monkeypatch, case, real):
     # "shared": interior sites hold one tensor, as in a transfer slice;
-    # "capped": chi_max truncates every bond of the left-to-right sweep;
+    # "capped": chi_max truncates every bond of the left-to-right sweep,
+    # whose cuts after the first come from the Gram matrix;
     # "fortran": operands in another memory layout than the kernel's
     T = 6
     psi, op = random_mps(T, 5), random_mpo(T, 3)
@@ -158,8 +160,12 @@ def test_zipup_is_bitwise_the_tensordot_zipup(case, real):
     if real:
         psi, op = _real_part(psi), _real_part(op)
     chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
+    gram_cuts = gram_cut_spy(monkeypatch)
     got = apply_mpo_zipup(op, psi, chi_max, cutoff)
+    kernel_cuts = list(gram_cuts)
     want = zipup_tensordot(op, psi, chi_max, cutoff)
+    assert gram_cuts == 2 * kernel_cuts
+    assert any(kernel_cuts) == (case == "capped")
     assert (got.psi.max_bond() == 4) == (case == "capped")
     assert len(got.psi.tensors) == len(want.psi.tensors) == T
     for a, b in zip(got.psi.tensors, want.psi.tensors):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from temporal_im import tensor
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
                                 FOLDED_SIGMA, FOLDED_SIGMA_BAR,
                                 NumericalInstabilityError, one_blas_thread,
                                 svd_truncate)
 
-from helpers import failing_svd
+from helpers import failing_svd, gram_cut_spy
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -121,6 +122,100 @@ def test_svd_truncate_zero_cutoff_drops_round_off():
             one[0, 0] = 1.0
             f = svd_truncate(one, chi_max=4, cutoff=0.0)
             assert len(f.s) == 1 and f.discarded_weight == 0.0
+
+
+def _same_factors(got, want):
+    for x, y in zip(got[:3], want[:3]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert got.discarded_weight == want.discarded_weight
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(40, 24), (24, 40), (32, 32)],
+                         ids=["tall", "wide", "square"])
+def test_gram_cut_matches_gesdd(monkeypatch, shape, dtype):
+    """Where the cap decides a resolved cut, the Gram cut keeps gesdd's
+    values to 1e-12 relative, the same kept subspace, the same truncated
+    block and the same discarded weight, with isometric factors.  A tall
+    complex block is cut through its plain transpose."""
+    m = _planted(shape, dtype, np.geomspace(1.0, 1e-2, min(shape)))
+    calls = gram_cut_spy(monkeypatch)
+    g = svd_truncate(m, chi_max=10, cutoff=1e-12, gram=True)
+    d = svd_truncate(m, chi_max=10, cutoff=1e-12)
+    assert calls == [True]
+    assert g.u.dtype == g.vh.dtype == m.dtype and g.u.flags.c_contiguous
+    assert g.u.shape == d.u.shape and g.vh.shape == d.vh.shape
+    assert np.allclose(g.s, d.s, rtol=1e-12, atol=0)
+    proj = lambda f: f.u @ f.u.conj().T
+    assert np.allclose(proj(g), proj(d), rtol=0, atol=1e-12)
+    assert np.allclose(g.u * g.s @ g.vh, d.u * d.s @ d.vh, rtol=0, atol=1e-12)
+    assert np.isclose(g.discarded_weight, d.discarded_weight, rtol=1e-12, atol=0)
+    assert np.allclose(g.u.conj().T @ g.u, np.eye(10), rtol=0, atol=1e-12)
+    assert np.allclose(g.vh @ g.vh.conj().T, np.eye(10), rtol=0, atol=1e-12)
+
+
+def test_gram_cut_falls_back_to_gesdd(monkeypatch):
+    """The Gram cut gives way, and gesdd's factors come back bit for bit,
+    where the block has no more values than the cap, where the first
+    dropped value is below tau s_0, where a cutoff above tau would keep
+    fewer values than the cap, and where eigh fails."""
+    tau = tensor._GRAM_TAU
+    calls = gram_cut_spy(monkeypatch)
+    s = [1.0, 0.5, 0.2, 5e-3, 4e-3, 3e-3, 2e-3, 1.5e-3]  # s_4 = 4 tau
+    m = _planted((16, 8), complex, s)
+    cases = [
+        (m, 8, 0.0),  # min(M, N) <= chi_max
+        (_planted((8, 16), complex, s[:4] + [5e-4, 4e-4]), 4, 0.0),  # s_4 < tau s_0
+        (m, 4, 1e-2),  # the cutoff (1e-2 > tau > s_3) keeps 3 values
+        # the unresolved tail of the tiny-discarded-weight zip-up test
+        (np.array([[0, -1e-10, 0], [0, 0, 0], [1, 0, 0], [0, 0, 1e-11]]), 1, 0.0),
+    ]
+    for block, chi, cutoff in cases:
+        got = svd_truncate(block, chi_max=chi, cutoff=cutoff, gram=True)
+        _same_factors(got, svd_truncate(block, chi_max=chi, cutoff=cutoff))
+    assert calls == [False] * len(cases)
+    assert len(svd_truncate(m, chi_max=4, cutoff=1e-2).s) == 3
+    # the same block at a cutoff below s_3 is cut by the cap, from G
+    assert len(svd_truncate(m, chi_max=4, cutoff=4e-3, gram=True).s) == 4
+    assert calls[-1] and s[3] > 4e-3 > tau
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    got = svd_truncate(m, chi_max=4, gram=True)
+    _same_factors(got, svd_truncate(m, chi_max=4))
+    assert calls[-1] is False
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (9, 12)], ids=["tall", "wide"])
+def test_gram_cut_of_nan_block_raises(monkeypatch, shape):
+    """A NaN block never reaches eigh; gesdd takes it and rejects it."""
+    calls = gram_cut_spy(monkeypatch)
+    real_eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda g: eighs.append(g.shape) or real_eigh(g))
+    m = crand(*shape)
+    m[3, 4] = np.nan
+    with pytest.raises(NumericalInstabilityError, match="non-finite"):
+        svd_truncate(m, chi_max=4, gram=True)
+    assert calls == [False] and eighs == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(30, 20), (20, 30)]),
+       st.integers(1, 12), st.sampled_from([0.0, 1e-12, 1e-3, 2e-3, 1e-2, 0.1]))
+def test_gram_cut_keeps_what_gesdd_keeps(seed, shape, chi, cutoff):
+    """Over spectra that straddle tau and the cutoffs, the Gram path keeps
+    exactly as many values as gesdd's rule, and the same block to 1e-12."""
+    r = np.random.default_rng(seed)
+    s = np.sort(10.0 ** r.uniform(-4.5, 0, size=min(shape)))[::-1]
+    m = _planted(shape, np.float64, s / s[0])
+    g = svd_truncate(m, chi_max=chi, cutoff=cutoff, gram=True)
+    d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
+    assert len(g.s) == len(d.s)
+    assert np.allclose(g.u * g.s @ g.vh, d.u * d.s @ d.vh, rtol=0, atol=1e-12)
+    assert np.isclose(g.discarded_weight, d.discarded_weight, rtol=1e-9, atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None)

@@ -124,3 +124,26 @@ def test_failing_svd_exits_3(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_UNSTABLE
     assert not (out / "run_manifest.json").exists()
+
+
+def test_nan_block_on_the_gram_path_exits_3(tmp_path, monkeypatch):
+    """A NaN in a block the zip-up sends to the Gram cut stops the run with
+    exit 3 and no manifest, as it does on gesdd's path."""
+    from temporal_im import mps
+    real_svd_truncate, asked = mps.svd_truncate, []
+
+    def svd_truncate(m, chi_max, cutoff=0.0, gram=False):
+        if gram and min(m.shape) > chi_max:  # a block with a cut to make
+            asked.append(m.shape)
+            m = m.copy()
+            m[0, 0] = np.nan
+        return real_svd_truncate(m, chi_max, cutoff, gram=gram)
+
+    monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text("experiment = floquet-czz\nJ = 0.8\ng = 0.7\nh = 0.6\n"
+                   "T_max = 6\nchi = 4\nreuse_im = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_UNSTABLE
+    assert len(asked) == 1
+    assert not (out / "run_manifest.json").exists()
