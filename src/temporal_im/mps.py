@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .tensor import _GRAM_TAU, _svd, svd_truncate
+from .tensor import _svd, svd_truncate
 
 
 @dataclass
@@ -159,8 +159,8 @@ class ZipupResult:
 
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
-                    gram: bool = False):
-    u, s, vh, w = svd_truncate(theta, chi_max, cutoff, gram=gram)
+                    tail: Optional[float] = None):
+    u, s, vh, w = svd_truncate(theta, chi_max, cutoff, tail=tail)
     total = float(np.sum(s ** 2)) + w
     frac = w / total if total > 0 else 0.0
     return u, s, vh, frac
@@ -187,11 +187,12 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     those of the returned state, up to the cutoff-level truncations the
     sweep makes further left afterwards.
 
-    A cut of the first sweep asks ``svd_truncate`` for the Gram cut when
-    the cut before it kept ``chi_max`` values, the last at least
-    ``_GRAM_TAU`` times the first: neighbouring bonds have similar spectra,
-    so the cap likely decides this one too.  The second sweep's blocks have
-    a side of at most chi_max, so it, and with it the entropies, use gesdd.
+    A cut of the first sweep passes ``svd_truncate`` the ratio s[-1] / s[0]
+    of the cut before it when that one kept ``chi_max`` values:
+    neighbouring bonds have similar spectra, so the cap likely decides this
+    one too, and the ratio picks the Gram or the sketched cut.  The second
+    sweep's blocks have a side of at most chi_max, so it, and with it the
+    entropies, use gesdd.
     """
     if op.T != psi.T:
         raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
@@ -202,7 +203,7 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
     # sweep and its SVDs in float64
     zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
-    gram = False
+    tail = None
     for i in range(T):
         A = psi.tensors[i]
         W = op.tensors[i]
@@ -217,8 +218,8 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
             out.append(theta.reshape(c, 4, wr * ar))
             break
         u, s, vh, frac = _truncate_event(theta.reshape(c * 4, wr * ar), chi_max,
-                                         cutoff, gram)
-        gram = len(s) == chi_max and s[-1] >= _GRAM_TAU * s[0]
+                                         cutoff, tail)
+        tail = s[-1] / s[0] if len(s) == chi_max and s[0] > 0.0 else None
         discarded += frac
         out.append(u.reshape(c, 4, -1))
         sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit

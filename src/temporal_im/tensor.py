@@ -2,10 +2,18 @@
 and the BLAS thread pin the command line runs them under.
 
 The engine needs numpy only.  A truncation is numpy's gesdd, retried through
-a QR factorization on a block where it fails to converge (``_svd_retry``).
-A cut that its caller expects the bond cap to decide may instead come from
-the eigendecomposition of the block's smaller Gram matrix (``_gram_cut``),
-where the spectrum at the cut is resolved (``_GRAM_TAU``).
+a QR factorization on a block where it fails to converge or returns
+non-finite values (``_svd_retry``).  A cut that its caller expects the bond
+cap to decide may instead come from one of two cheaper factorizations:
+the eigendecomposition of the block's smaller Gram matrix (``_gram_cut``)
+where the previous cut's spectrum was resolved at the cap (``_GRAM_TAU``),
+and a sketch of the block's range with a fixed +-1 test matrix
+(``_sketch_cut``) where it was not.  A sketched cut is kept only under an
+after-the-fact certificate: the cap decides its kept count for the block's
+own singular values, its residual is at most ``_SKETCH_ETA`` times its
+first dropped value, so its error is at most sqrt(1 + eta^2) times gesdd's,
+and it reproduces the block on its kept right vectors to the relative
+precision of the Gram cut's values.
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -15,6 +23,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
+import math
 import threading
 from typing import Dict, Iterator, NamedTuple, Optional
 
@@ -42,6 +52,20 @@ _MULTIPLET_RTOL = 1e-12
 # absolute error, eps * s_0 / (2 tau) = 1.1e-13 s_0, is 1e-10 of the norm
 # the truncation itself drops (at least tau * s_0).
 _GRAM_TAU = 1e-3
+
+# The sketched cut (``_sketch_cut``) samples the block's range with
+# l = chi + _SKETCH_OVERSAMPLE columns and keeps its cut only where the
+# residual of the sampled range is at most _SKETCH_ETA times the first
+# dropped value.  That bounds the error, not the kept subspace: on a flat
+# tail (the DTC workload's, s_chi ~ 3e-4 s_0) a certified sketch keeps a
+# subspace that differs from gesdd's by 1e-6 s_0, and which one depends on
+# how round-off rotated the bond bases, so its outputs moved by 1e-9 under
+# h + 1 ulp.  The cut is therefore also kept only where it reproduces the
+# block on its kept right vectors to eps / (2 tau^2) s_0, the relative
+# precision of the Gram cut's values.  On the confined quench's steep tails
+# (s_chi ~ 1e-8 s_0) it does so to 4.6e-12 s_0 at worst.
+_SKETCH_OVERSAMPLE = 12
+_SKETCH_ETA = 0.3
 
 # (get, set) thread-count symbols of the OpenBLAS builds numpy may load: the
 # scipy-openblas wheels (ILP64, and LP64 for 32-bit-index builds), then plain
@@ -72,14 +96,22 @@ class SvdFactors(NamedTuple):
 
 
 def _svd(m: np.ndarray):
+    # gesdd returns NaN values for some blocks that hold an infinity, and
+    # never returns on others; the sum is not finite for either
+    if not np.isfinite(np.sum(m)):
+        return _svd_retry(m)
     try:
-        return np.linalg.svd(m, full_matrices=False)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         return _svd_retry(m)
+    if not np.isfinite(s).all():
+        return _svd_retry(m)
+    return u, s, vh
 
 
 def _svd_retry(m: np.ndarray):
-    """SVD of a block on which gesdd failed to converge.
+    """SVD of a block that gesdd could not take: it failed to converge or
+    gave non-finite values, or the block's sum is not finite.
 
     gesdd runs on the triangular factor R of a Householder QR of ``m`` (of
     its transpose when ``m`` is wide), then on R's transpose, and the factors
@@ -150,8 +182,98 @@ def _gram_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]:
     return SvdFactors(np.ascontiguousarray(u), s, np.ascontiguousarray(vh), w)
 
 
+@functools.lru_cache(maxsize=32)
+def _sketch_matrix(rows: int, cols: int) -> np.ndarray:
+    """The read-only rows x cols +-1 test matrix of ``_sketch_cut``.
+
+    Entry k in row-major order is -1 where the top bit of the k-th output of
+    a splitmix64 generator seeded with 0, mix((k + 1) * 0x9E3779B97F4A7C15),
+    is set, and +1 otherwise.  It is a pure function of the shape, so a cut
+    does not depend on the order of calls, on the thread or on
+    ``numpy.random``, and the cache keeps one copy per shape.
+    """
+    z = np.arange(1, rows * cols + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    omega = 1.0 - 2.0 * (z >> np.uint64(63)).astype(np.float64)
+    omega = omega.reshape(rows, cols)
+    omega.flags.writeable = False
+    return omega
+
+
+def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]:
+    """The cut of ``m`` to ``chi_max`` values from a sketch of its range, or
+    None where gesdd must take it instead.
+
+    A randomized range finder with one power step (Halko, Martinsson &
+    Tropp, SIAM Rev. 53, 217 (2011), Alg. 4.4) on the fixed test matrix
+    Omega of ``_sketch_matrix``, with l = chi_max + ``_SKETCH_OVERSAMPLE``
+    columns: Q = qr(m D Omega), then Q = qr(m qr(m^H Q)), and gesdd of the
+    l x N block B = Q^H m = U_B s_B V^H, taken as that of the tall B^H.  The
+    cut keeps U = Q U_B, s_B and V^H to ``chi_max`` values.  D is diagonal:
+    entry j is the phase (for real blocks the sign) that makes column j's
+    overlap with the block's heaviest column positive.  The bond bases of a
+    block carry signs that gesdd chose, and round-off can flip them.  D
+    undoes a flip of a column basis vector, and a flip of a row basis vector
+    flips the same row of every Q, so neither changes the cut.  Without D,
+    h + 1 ulp moved the confined quench's C by 6.6e-11; with it, 2.7e-14.
+
+    The residual E = m - Q B is orthogonal to Q, so m^H m = B^H B + E^H E
+    and the k-th singular value of m lies in [s_B[k], sqrt(s_B[k]^2 +
+    |E|^2)].  The cut is kept only under a certificate that holds for m's
+    own singular values:
+
+    - the cap decides the kept count: s_B[chi - 1] is at least ``rel`` times
+      the bound sqrt(s_B[0]^2 + |E|_F^2) on m's largest value, with a margin
+      of max(M, N) eps for the round-off of s_B, so gesdd's rule keeps
+      ``chi_max`` values too;
+    - |E|_F <= ``_SKETCH_ETA`` s_B[chi], so the error |E|_F^2 +
+      sum s_B[chi:]^2, which is the discarded weight reported, is at most
+      1 + eta^2 times gesdd's, sum of m's own dropped values squared;
+    - |E V_chi|_F, the part of m on the kept right vectors that the sampled
+      range misses, is at most eps / (2 tau^2) s_B[0], the relative
+      precision of the Gram cut's values (``_GRAM_TAU``).  A flat tail,
+      whose sketch keeps a subspace that differs from gesdd's at the
+      truncation level, gives way here.
+
+    None also when min(M, N) <= l (the sketch would not be cheaper), when
+    the block is not finite, or when gesdd of B fails.
+    """
+    rows, cols = m.shape
+    ell = chi_max + _SKETCH_OVERSAMPLE
+    if min(rows, cols) <= ell:
+        return None
+    norms = np.linalg.norm(m, axis=0)
+    if not np.isfinite(norms).all():
+        return None
+    overlap = np.dot(m[:, np.argmax(norms)].conj(), m)
+    size = np.abs(overlap)
+    phase = np.where(size > 0.0, overlap.conj(), 1.0) / np.where(size > 0.0, size, 1.0)
+    mh = m.conj().T if np.iscomplexobj(m) else m.T
+    q = np.linalg.qr(np.dot(m, _sketch_matrix(cols, ell) * phase[:, None]))[0]
+    q = np.linalg.qr(np.dot(m, np.linalg.qr(np.dot(mh, q))[0]))[0]
+    bh = np.dot(mh, q)
+    try:
+        v, s, ubh = np.linalg.svd(bh, full_matrices=False)  # B = ubh^H s v^H
+    except np.linalg.LinAlgError:
+        return None
+    resid = m - np.dot(q, bh.conj().T)
+    e = float(np.linalg.norm(resid))
+    v = v[:, :chi_max]
+    eps = np.finfo(s.dtype).eps
+    floor = max(rows, cols) * eps
+    if not (s[0] > 0.0 and e <= _SKETCH_ETA * s[chi_max]
+            and s[chi_max - 1] >= (rel + floor) * math.hypot(s[0], e)
+            and np.linalg.norm(np.dot(resid, v)) <= eps / (2 * _GRAM_TAU ** 2) * s[0]):
+        return None
+    w = float(np.sum(s[chi_max:] ** 2)) + e * e
+    return SvdFactors(np.dot(q, ubh[:chi_max].conj().T), s[:chi_max].copy(),
+                      np.ascontiguousarray(v.conj().T), w)
+
+
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
-                 gram: bool = False) -> SvdFactors:
+                 tail: Optional[float] = None) -> SvdFactors:
     """SVD of a matrix, truncated by bond cap and relative cutoff.
 
     Values with s_k < max(cutoff, max(M, N) * eps) * s_0 are dropped, for an
@@ -165,11 +287,13 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
     is applied afterwards and is absolute.  ``discarded_weight`` is the plain
     sum of squared dropped values, those below the floor included.
 
-    With ``gram`` set the caller expects the cap to decide the cut, and it
-    is first taken from the block's Gram matrix (``_gram_cut``), 1.7x to 8x
-    cheaper at the zip-up's shapes.  gesdd takes the block wherever that
-    cut is not resolved (``_GRAM_TAU``) or the cap would not decide it, so
-    the same number of values is kept either way.
+    ``tail`` is the caller's hint that the cap decides this cut: the ratio
+    s[-1] / s[0] of a neighbouring cut that kept ``chi_max`` values, or None
+    for no hint.  A tail of at least ``_GRAM_TAU`` asks for the Gram cut
+    (``_gram_cut``), 1.7x to 8x cheaper than gesdd at the zip-up's shapes; a
+    smaller one, whose spectrum the Gram matrix cannot resolve, asks for the
+    sketched cut (``_sketch_cut``).  gesdd takes the block wherever the cut
+    asked for gives way, so the same number of values is kept either way.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be a positive integer")
@@ -178,8 +302,8 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     # the floor in the precision of the singular values
     rel = max(cutoff, max(m.shape) * np.finfo(np.result_type(m.dtype, 1.0)).eps)
-    if gram:
-        cut = _gram_cut(m, chi_max, rel)
+    if tail is not None:
+        cut = (_gram_cut if tail >= _GRAM_TAU else _sketch_cut)(m, chi_max, rel)
         if cut is not None:
             return cut
     u, s, vh = _svd(m)

@@ -8,7 +8,7 @@ from temporal_im.influence import InfluenceMatrix
 from temporal_im.mps import TemporalMpo, TemporalMps, ZipupResult
 from temporal_im.observables import Insertion, InsertionPlan
 from temporal_im import tensor
-from temporal_im.tensor import _GRAM_TAU, _openblas_libs, svd_truncate
+from temporal_im.tensor import _openblas_libs, svd_truncate
 
 
 def im_bits(im: InfluenceMatrix) -> tuple:
@@ -52,18 +52,26 @@ def failing_svd(monkeypatch, failures: int) -> list:
     return seen
 
 
-def gram_cut_spy(monkeypatch) -> list:
-    """Spy on ``tensor._gram_cut``: one entry per call, True where it took
-    the cut."""
-    real, calls = tensor._gram_cut, []
+def cut_spy(monkeypatch, name: str) -> list:
+    """Spy on the cut ``tensor.<name>`` (``_gram_cut`` or ``_sketch_cut``):
+    one entry per call, True where it took the cut."""
+    real, calls = getattr(tensor, name), []
 
-    def gram_cut(m, chi_max, rel):
+    def cut(m, chi_max, rel):
         f = real(m, chi_max, rel)
         calls.append(f is not None)
         return f
 
-    monkeypatch.setattr(tensor, "_gram_cut", gram_cut)
+    monkeypatch.setattr(tensor, name, cut)
     return calls
+
+
+def gram_cut_spy(monkeypatch) -> list:
+    return cut_spy(monkeypatch, "_gram_cut")
+
+
+def sketch_cut_spy(monkeypatch) -> list:
+    return cut_spy(monkeypatch, "_sketch_cut")
 
 
 # ---- np.tensordot references of the contraction kernels in ``mps``; the
@@ -88,20 +96,19 @@ def _entropy_ref(s: np.ndarray) -> float:
 def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
                     cutoff: float = 0.0) -> ZipupResult:
     """``apply_mpo_zipup`` written with np.tensordot and np.linalg.norm.  Its
-    first sweep asks for the Gram cut where the kernel does: after a cut
-    that kept ``chi_max`` values, the last at least ``_GRAM_TAU`` times the
-    first."""
+    first sweep passes ``svd_truncate`` the hint the kernel passes: s[-1] /
+    s[0] of the cut before, when that one kept ``chi_max`` values."""
     T, norm_log, discarded, out = psi.T, psi.norm_log, 0.0, []
 
-    def event(m, gram=False):
-        u, s, vh, w = svd_truncate(m, chi_max, cutoff, gram=gram)
+    def event(m, tail=None):
+        u, s, vh, w = svd_truncate(m, chi_max, cutoff, tail=tail)
         total = float(np.sum(s ** 2)) + w
         nonlocal discarded
         discarded += w / total if total > 0 else 0.0
         return u, s, vh
 
     zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
-    gram = False
+    tail = None
     for i in range(T):
         tmp = np.tensordot(zipper, psi.tensors[i], axes=(2, 0))
         theta = np.tensordot(tmp, op.tensors[i], axes=([1, 2], [0, 2]))
@@ -110,8 +117,8 @@ def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         if i == T - 1:
             out.append(theta.reshape(c, 4, wr * ar))
             break
-        u, s, vh = event(theta.reshape(c * 4, wr * ar), gram)
-        gram = len(s) == chi_max and s[-1] >= _GRAM_TAU * s[0]
+        u, s, vh = event(theta.reshape(c * 4, wr * ar), tail)
+        tail = s[-1] / s[0] if len(s) == chi_max and s[0] > 0.0 else None
         out.append(u.reshape(c, 4, -1))
         sn = float(np.linalg.norm(s))
         if sn > 0:

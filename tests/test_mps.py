@@ -10,7 +10,7 @@ from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
 from temporal_im.tensor import NumericalInstabilityError, svd_truncate
 
 from helpers import (failing_svd, gram_cut_spy, overlap_tensordot,
-                     zipup_tensordot)
+                     sketch_cut_spy, zipup_tensordot)
 
 rng = np.random.default_rng(11)
 
@@ -160,11 +160,11 @@ def test_zipup_is_bitwise_the_tensordot_zipup(monkeypatch, case, real):
     if real:
         psi, op = _real_part(psi), _real_part(op)
     chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
-    gram_cuts = gram_cut_spy(monkeypatch)
+    gram_cuts, sketches = gram_cut_spy(monkeypatch), sketch_cut_spy(monkeypatch)
     got = apply_mpo_zipup(op, psi, chi_max, cutoff)
-    kernel_cuts = list(gram_cuts)
+    kernel_cuts, kernel_sketches = list(gram_cuts), list(sketches)
     want = zipup_tensordot(op, psi, chi_max, cutoff)
-    assert gram_cuts == 2 * kernel_cuts
+    assert gram_cuts == 2 * kernel_cuts and sketches == 2 * kernel_sketches
     assert any(kernel_cuts) == (case == "capped")
     assert (got.psi.max_bond() == 4) == (case == "capped")
     assert len(got.psi.tensors) == len(want.psi.tensors) == T

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
                                 NumericalInstabilityError, one_blas_thread,
                                 svd_truncate)
 
-from helpers import failing_svd, gram_cut_spy
+from helpers import failing_svd, gram_cut_spy, sketch_cut_spy
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -140,7 +141,7 @@ def test_gram_cut_matches_gesdd(monkeypatch, shape, dtype):
     complex block is cut through its plain transpose."""
     m = _planted(shape, dtype, np.geomspace(1.0, 1e-2, min(shape)))
     calls = gram_cut_spy(monkeypatch)
-    g = svd_truncate(m, chi_max=10, cutoff=1e-12, gram=True)
+    g = svd_truncate(m, chi_max=10, cutoff=1e-12, tail=1.0)
     d = svd_truncate(m, chi_max=10, cutoff=1e-12)
     assert calls == [True]
     assert g.u.dtype == g.vh.dtype == m.dtype and g.u.flags.c_contiguous
@@ -171,19 +172,19 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
         (np.array([[0, -1e-10, 0], [0, 0, 0], [1, 0, 0], [0, 0, 1e-11]]), 1, 0.0),
     ]
     for block, chi, cutoff in cases:
-        got = svd_truncate(block, chi_max=chi, cutoff=cutoff, gram=True)
+        got = svd_truncate(block, chi_max=chi, cutoff=cutoff, tail=1.0)
         _same_factors(got, svd_truncate(block, chi_max=chi, cutoff=cutoff))
     assert calls == [False] * len(cases)
     assert len(svd_truncate(m, chi_max=4, cutoff=1e-2).s) == 3
     # the same block at a cutoff below s_3 is cut by the cap, from G
-    assert len(svd_truncate(m, chi_max=4, cutoff=4e-3, gram=True).s) == 4
+    assert len(svd_truncate(m, chi_max=4, cutoff=4e-3, tail=1.0).s) == 4
     assert calls[-1] and s[3] > 4e-3 > tau
 
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    got = svd_truncate(m, chi_max=4, gram=True)
+    got = svd_truncate(m, chi_max=4, tail=1.0)
     _same_factors(got, svd_truncate(m, chi_max=4))
     assert calls[-1] is False
 
@@ -198,7 +199,7 @@ def test_gram_cut_of_nan_block_raises(monkeypatch, shape):
     m = crand(*shape)
     m[3, 4] = np.nan
     with pytest.raises(NumericalInstabilityError, match="non-finite"):
-        svd_truncate(m, chi_max=4, gram=True)
+        svd_truncate(m, chi_max=4, tail=1.0)
     assert calls == [False] and eighs == []
 
 
@@ -211,11 +212,138 @@ def test_gram_cut_keeps_what_gesdd_keeps(seed, shape, chi, cutoff):
     r = np.random.default_rng(seed)
     s = np.sort(10.0 ** r.uniform(-4.5, 0, size=min(shape)))[::-1]
     m = _planted(shape, np.float64, s / s[0])
-    g = svd_truncate(m, chi_max=chi, cutoff=cutoff, gram=True)
+    g = svd_truncate(m, chi_max=chi, cutoff=cutoff, tail=1.0)
     d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
     assert len(g.s) == len(d.s)
     assert np.allclose(g.u * g.s @ g.vh, d.u * d.s @ d.vh, rtol=0, atol=1e-12)
     assert np.isclose(g.discarded_weight, d.discarded_weight, rtol=1e-9, atol=1e-15)
+
+
+# blocks of 40 values for the sketched cut at chi = 8 (l = 20), s_0 = 1:
+# spectrum, cutoff, and whether the certificate holds
+_STEEP = 10.0 ** (-0.9 * np.arange(40))  # s_chi ~ 6e-8 s_0, as on the quench
+_SKETCHED = {
+    "steep": (_STEEP, 0.0, True),
+    "flat": (np.geomspace(1.0, 1e-2, 40), 0.0, False),  # as on floquet
+    # a flat tail past a steep head: the kept part is sampled exactly, but
+    # the residual exceeds eta s_chi
+    "flat-after-gap": (np.concatenate([_STEEP[:8], np.full(32, 1e-10)]), 0.0, False),
+    "degenerate": (np.concatenate([_STEEP[:7], [_STEEP[7]] * 2, _STEEP[9:]]), 0.0, True),
+    "rank-below-l": (np.concatenate([np.geomspace(1.0, 1e-3, 16), np.zeros(24)]),
+                     0.0, True),
+    "rank-below-chi": (np.concatenate([np.geomspace(1.0, 1e-3, 5), np.zeros(35)]),
+                       0.0, False),
+    # the cutoff, not the cap, decides the kept count (5 values)
+    "cutoff-decides": (_STEEP, 1e-4, False),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("block", sorted(_SKETCHED))
+def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
+                                                       shape, dtype):
+    """A steep-tail hint asks for the sketched cut.  Where it gives way the
+    factors are gesdd's bit for bit; where it takes the cut it keeps
+    exactly chi values, its discarded weight is its squared error to
+    round-off, and that error is at most sqrt(1 + eta^2) times gesdd's."""
+    chi, eta = 8, tensor._SKETCH_ETA
+    spectrum, cutoff, certified = _SKETCHED[block]
+    m = _planted(shape, dtype, spectrum)
+    calls = sketch_cut_spy(monkeypatch)
+    f = svd_truncate(m, chi_max=chi, cutoff=cutoff, tail=1e-8)
+    d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
+    assert calls == [certified]
+    if not certified:
+        _same_factors(f, d)
+        return
+    assert len(f.s) == len(d.s) == chi
+    assert f.u.dtype == f.vh.dtype == m.dtype and f.u.flags.c_contiguous
+    assert np.allclose(f.u.conj().T @ f.u, np.eye(chi), rtol=0, atol=1e-12)
+    assert np.allclose(f.vh @ f.vh.conj().T, np.eye(chi), rtol=0, atol=1e-12)
+    err2 = np.linalg.norm(m - f.u * f.s @ f.vh) ** 2
+    slack = 100 * np.finfo(float).eps  # round-off of the error itself
+    assert abs(err2 - f.discarded_weight) <= 2 * slack * np.sqrt(err2) + slack ** 2
+    assert np.sqrt(err2) <= np.sqrt(1 + eta ** 2) * np.sqrt(d.discarded_weight) + slack
+
+
+def test_sketch_cut_gives_way_to_a_non_finite_block(monkeypatch):
+    """A NaN or an infinity in a block large enough to sketch reaches no
+    factorization: the sketch gives way, and the retry rejects the block."""
+    blocks = [_planted((60, 40), np.float64, _STEEP) for _ in range(2)]
+    blocks[0][7, 3], blocks[1][7, 3] = np.nan, np.inf
+    calls = sketch_cut_spy(monkeypatch)
+    real_qr, qrs = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape)
+                        or real_qr(a, *args))
+    for m in blocks:
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            svd_truncate(m, chi_max=8, tail=1e-8)
+    assert calls == [False, False] and qrs == []
+
+
+def _splitmix64_sign(k: int) -> float:
+    """-1 where the top bit of splitmix64's k-th output (seed 0) is set."""
+    mask = 2 ** 64 - 1
+    z = ((k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return -1.0 if z >> 63 else 1.0
+
+
+def test_sketch_matrix_is_a_function_of_its_shape_alone():
+    """The test matrix is splitmix64's sign bits in row-major order, read
+    only, and the same whatever was built before it."""
+    tensor._sketch_matrix.cache_clear()
+    first = tensor._sketch_matrix(40, 24).tobytes()
+    tensor._sketch_matrix.cache_clear()
+    for shape in ((24, 40), (7, 3), (40, 25)):
+        tensor._sketch_matrix(*shape)
+    omega = tensor._sketch_matrix(40, 24)
+    assert omega.tobytes() == first
+    assert omega.dtype == np.float64 and not omega.flags.writeable
+    assert omega.ravel().tolist() == [_splitmix64_sign(k) for k in range(40 * 24)]
+    assert abs(omega.sum()) < 0.1 * omega.size
+
+
+def test_sketch_cut_is_the_same_on_two_threads():
+    """Two threads cutting one block at once get the bytes of a serial cut."""
+    m = _planted((60, 40), np.float64, _STEEP)
+    tensor._sketch_matrix.cache_clear()
+    start, got = threading.Barrier(2), [None, None]
+
+    def cut(i):
+        start.wait()
+        got[i] = svd_truncate(m, chi_max=8, tail=1e-8)
+
+    threads = [threading.Thread(target=cut, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    want = svd_truncate(m, chi_max=8, tail=1e-8)
+    for f in got:
+        assert len(f.s) == 8
+        assert [x.tobytes() for x in f[:3]] == [x.tobytes() for x in want[:3]]
+        assert f.discarded_weight == want.discarded_weight
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(12, 9), (9, 12), (5, 4)],
+                         ids=["12x9", "9x12", "5x4"])
+def test_block_with_an_infinity_raises(monkeypatch, shape, dtype):
+    """gesdd returns NaN values for a block holding an infinity without
+    raising (or never returns, on some blocks); the block never reaches it,
+    and the retry rejects it.  The Gram and sketched cuts give way first."""
+    gram, sketch = gram_cut_spy(monkeypatch), sketch_cut_spy(monkeypatch)
+    for tail in (None, 1.0, 1e-8):
+        m = crand(*shape)
+        m = m if dtype is complex else m.real.copy()
+        m[3, 2] = np.inf
+        with pytest.raises(NumericalInstabilityError, match="non-finite"):
+            svd_truncate(m, chi_max=2, tail=tail)
+    assert gram == [False] and sketch == [False]
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,14 +389,31 @@ def test_svd_truncate_raises_when_every_svd_fails(monkeypatch, shape):
 
 
 def test_svd_of_non_finite_block_raises_at_once(monkeypatch):
-    """A NaN makes gesdd fail; the retry rejects the block without a second
+    """A NaN never reaches gesdd: the retry rejects the block without an
     SVD."""
     m = crand(5, 4)
     m[2, 1] = np.nan
     seen = failing_svd(monkeypatch, failures=1)
     with pytest.raises(NumericalInstabilityError, match="non-finite"):
         svd_truncate(m, chi_max=4)
-    assert len(seen) == 1
+    assert seen == []
+
+
+def test_non_finite_values_from_gesdd_go_to_the_retry(monkeypatch):
+    """A finite block on which gesdd returns non-finite values is factored
+    again by the retry."""
+    m = crand(7, 5)
+    real_svd, calls = np.linalg.svd, []
+
+    def svd(a, **kwargs):
+        calls.append(a.shape)
+        u, s, vh = real_svd(a, **kwargs)
+        return (u, np.full_like(s, np.nan), vh) if len(calls) == 1 else (u, s, vh)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    f = svd_truncate(m, chi_max=5)
+    assert calls == [(7, 5), (5, 5)]  # the block, then its QR factor R
+    assert np.allclose(f.u * f.s @ f.vh, m, rtol=0, atol=1e-12)
 
 
 def _fresh_python(code: str) -> str:

@@ -10,6 +10,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from temporal_im import cli
@@ -132,12 +133,37 @@ def test_nan_block_on_the_gram_path_exits_3(tmp_path, monkeypatch):
     from temporal_im import mps
     real_svd_truncate, asked = mps.svd_truncate, []
 
-    def svd_truncate(m, chi_max, cutoff=0.0, gram=False):
-        if gram and min(m.shape) > chi_max:  # a block with a cut to make
+    def svd_truncate(m, chi_max, cutoff=0.0, tail=None):
+        if tail is not None and min(m.shape) > chi_max:  # a cut to make
             asked.append(m.shape)
             m = m.copy()
             m[0, 0] = np.nan
-        return real_svd_truncate(m, chi_max, cutoff, gram=gram)
+        return real_svd_truncate(m, chi_max, cutoff, tail=tail)
+
+    monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text("experiment = floquet-czz\nJ = 0.8\ng = 0.7\nh = 0.6\n"
+                   "T_max = 6\nchi = 4\nreuse_im = true\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_UNSTABLE
+    assert len(asked) == 1
+    assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["gesdd", "hinted"])
+def test_infinite_block_exits_3(tmp_path, monkeypatch, hinted):
+    """An infinity in a block, on which gesdd returns NaN values without
+    raising, stops the run with exit 3 and no manifest, whether the block
+    goes to gesdd or the zip-up hints a cheaper cut for it."""
+    from temporal_im import mps
+    real_svd_truncate, asked = mps.svd_truncate, []
+
+    def svd_truncate(m, chi_max, cutoff=0.0, tail=None):
+        if (tail is not None) == hinted and min(m.shape) > chi_max:
+            asked.append(m.shape)
+            m = m.copy()
+            m[0, 0] = np.inf
+        return real_svd_truncate(m, chi_max, cutoff, tail=tail)
 
     monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
     cfg = tmp_path / "capped.cfg"
