@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .tensor import _svd, svd_truncate
+from .tensor import SweepHint, _svd, svd_truncate
 
 
 @dataclass
@@ -159,8 +159,8 @@ class ZipupResult:
 
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
-                    tail: Optional[float] = None):
-    u, s, vh, w = svd_truncate(theta, chi_max, cutoff, tail=tail)
+                    hint: Optional[SweepHint] = None):
+    u, s, vh, w = svd_truncate(theta, chi_max, cutoff, hint=hint)
     total = float(np.sum(s ** 2)) + w
     frac = w / total if total > 0 else 0.0
     return u, s, vh, frac
@@ -187,12 +187,11 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     those of the returned state, up to the cutoff-level truncations the
     sweep makes further left afterwards.
 
-    A cut of the first sweep passes ``svd_truncate`` the ratio s[-1] / s[0]
-    of the cut before it when that one kept ``chi_max`` values:
-    neighbouring bonds have similar spectra, so the cap likely decides this
-    one too, and the ratio picks the Gram or the sketched cut.  The second
-    sweep's blocks have a side of at most chi_max, so it, and with it the
-    entropies, use gesdd.
+    The cuts of the first sweep share one ``SweepHint``: after a cut that
+    kept ``chi_max`` values the cap likely decides the next one too, and
+    ``svd_truncate`` may then take it from the Gram matrix or a sketch.  The
+    second sweep's blocks have a side of at most chi_max, so it, and with it
+    the entropies, use gesdd.
     """
     if op.T != psi.T:
         raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
@@ -203,7 +202,7 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
     # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
     # sweep and its SVDs in float64
     zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
-    tail = None
+    hint = SweepHint()
     for i in range(T):
         A = psi.tensors[i]
         W = op.tensors[i]
@@ -218,8 +217,7 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
             out.append(theta.reshape(c, 4, wr * ar))
             break
         u, s, vh, frac = _truncate_event(theta.reshape(c * 4, wr * ar), chi_max,
-                                         cutoff, tail)
-        tail = s[-1] / s[0] if len(s) == chi_max and s[0] > 0.0 else None
+                                         cutoff, hint)
         discarded += frac
         out.append(u.reshape(c, 4, -1))
         sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit

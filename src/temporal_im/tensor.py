@@ -3,17 +3,19 @@ and the BLAS thread pin the command line runs them under.
 
 The engine needs numpy only.  A truncation is numpy's gesdd, retried through
 a QR factorization on a block where it fails to converge or returns
-non-finite values (``_svd_retry``).  A cut that its caller expects the bond
-cap to decide may instead come from one of two cheaper factorizations:
-the eigendecomposition of the block's smaller Gram matrix (``_gram_cut``)
-where the previous cut's spectrum was resolved at the cap (``_GRAM_TAU``),
-and a sketch of the block's range with a fixed +-1 test matrix
-(``_sketch_cut``) where it was not.  A sketched cut is kept only under an
-after-the-fact certificate: the cap decides its kept count for the block's
-own singular values, its residual is at most ``_SKETCH_ETA`` times its
-first dropped value, so its error is at most sqrt(1 + eta^2) times gesdd's,
-and it reproduces the block on its kept right vectors to the relative
-precision of the Gram cut's values.
+non-finite values (``_svd_retry``).  A cut that its caller's sweep
+(``SweepHint``) expects the bond cap to decide may instead come from one of
+two cheaper factorizations: the eigendecomposition of the block's smaller
+Gram matrix (``_gram_cut``) where the previous cut's spectrum was resolved
+at the cap (``_GRAM_TAU``), and a sketch of the block's range with a fixed
++-1 test matrix (``_sketch_cut``) where its tail was far below that
+(``_SKETCH_TAIL``), on blocks wide enough for the sketch to pay
+(``_SKETCH_SIDE``), until a sketch in the sweep gives way.  A sketched cut
+is kept only under an after-the-fact certificate: the cap decides its kept
+count for the block's own singular values, its residual is at most
+``_SKETCH_ETA`` times its first dropped value, so its error is at most
+sqrt(1 + eta^2) times gesdd's, and it reproduces the block on its kept
+right vectors to the relative precision of the Gram cut's values.
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -67,6 +69,22 @@ _GRAM_TAU = 1e-3
 _SKETCH_OVERSAMPLE = 12
 _SKETCH_ETA = 0.3
 
+# Where the sketched cut is asked for (``_hinted_cut``).  The block must be
+# at least _SKETCH_SIDE * l on its smaller side: the sketch makes five
+# passes over the block, and on one thread it cost 0.48 of gesdd's time on
+# 128 x 128 and 256 x 256 blocks (l = 44 and 76), 0.7 to 0.8 on blocks 2.3
+# to 2.7 l wide, and more than gesdd below 2 l.  The previous cut's tail
+# must be below _SKETCH_TAIL * s_0, since the kept part must be reproduced
+# to 1.1e-10 s_0: configs/fig5.cfg's DTC blocks, whose previous tails sit
+# between _SKETCH_TAIL and _GRAM_TAU, certified 3 of 162 sketches.  A
+# sketch that gives way costs half a gesdd on top of the gesdd that then
+# takes the block, and the next blocks of a sweep are like it: on
+# configs/fig4.cfg (chi = 64) 95% of the asks after a certified sketch
+# certified, 1% of those after one that gave way.  So a sweep asks for no
+# more sketches once one gives way.
+_SKETCH_SIDE = 2.5
+_SKETCH_TAIL = _GRAM_TAU ** 2
+
 # (get, set) thread-count symbols of the OpenBLAS builds numpy may load: the
 # scipy-openblas wheels (ILP64, and LP64 for 32-bit-index builds), then plain
 # ILP64 and LP64 builds.
@@ -95,6 +113,24 @@ class SvdFactors(NamedTuple):
     discarded_weight: float
 
 
+class SweepHint:
+    """What a sweep of cuts tells ``svd_truncate`` about its next cut.
+
+    Neighbouring bonds of a sweep have similar spectra: after a cut that
+    kept ``chi_max`` values the cap likely decides the next one too.
+    ``tail`` is that cut's s[-1] / s[0], None after a cut the cap did not
+    decide; it picks the cheaper factorization to ask for.  ``sketch``
+    turns False once a sketched cut gave way: the sweep's tails past the
+    cap are then too flat to certify, and it asks for no more.  A sweep
+    makes one hint and passes it to each of its cuts, and ``svd_truncate``
+    updates it after every cut.
+    """
+    __slots__ = ("tail", "sketch")
+
+    def __init__(self, tail: Optional[float] = None, sketch: bool = True):
+        self.tail, self.sketch = tail, sketch
+
+
 def _svd(m: np.ndarray):
     # gesdd returns NaN values for some blocks that hold an infinity, and
     # never returns on others; the sum is not finite for either
@@ -115,8 +151,9 @@ def _svd_retry(m: np.ndarray):
 
     gesdd runs on the triangular factor R of a Householder QR of ``m`` (of
     its transpose when ``m`` is wide), then on R's transpose, and the factors
-    are mapped back.  A non-finite block, or one on which both tries fail,
-    raises ``NumericalInstabilityError``.
+    are mapped back.  A try fails where gesdd raises or returns non-finite
+    values.  A non-finite block, or one on which both tries fail, raises
+    ``NumericalInstabilityError``.
     """
     if not np.isfinite(m).all():
         raise NumericalInstabilityError(
@@ -127,6 +164,8 @@ def _svd_retry(m: np.ndarray):
         try:
             u, s, vh = np.linalg.svd(r.T if flip else r, full_matrices=False)
         except np.linalg.LinAlgError:
+            continue
+        if not np.isfinite(s).all():
             continue
         if flip:  # r = (u s vh)^T
             u, vh = vh.T, u.T
@@ -217,7 +256,7 @@ def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]
     block carry signs that gesdd chose, and round-off can flip them.  D
     undoes a flip of a column basis vector, and a flip of a row basis vector
     flips the same row of every Q, so neither changes the cut.  Without D,
-    h + 1 ulp moved the confined quench's C by 6.6e-11; with it, 2.7e-14.
+    h + 1 ulp moved the confined quench's C by 6.6e-11; with it, 3e-14.
 
     The residual E = m - Q B is orthogonal to Q, so m^H m = B^H B + E^H E
     and the k-th singular value of m lies in [s_B[k], sqrt(s_B[k]^2 +
@@ -237,13 +276,12 @@ def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]
       whose sketch keeps a subspace that differs from gesdd's at the
       truncation level, gives way here.
 
-    None also when min(M, N) <= l (the sketch would not be cheaper), when
-    the block is not finite, or when gesdd of B fails.
+    None also when the block is not finite, or when gesdd of B fails.  The
+    block must be larger than l on both sides; ``_hinted_cut`` asks only
+    for blocks at least ``_SKETCH_SIDE`` l on each.
     """
     rows, cols = m.shape
     ell = chi_max + _SKETCH_OVERSAMPLE
-    if min(rows, cols) <= ell:
-        return None
     norms = np.linalg.norm(m, axis=0)
     if not np.isfinite(norms).all():
         return None
@@ -272,8 +310,30 @@ def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]
                       np.ascontiguousarray(v.conj().T), w)
 
 
+def _hinted_cut(m: np.ndarray, chi_max: int, rel: float,
+                hint: SweepHint) -> Optional[SvdFactors]:
+    """The Gram or the sketched cut that ``hint`` asks for, or None where
+    gesdd must take the block.
+
+    A tail of at least ``_GRAM_TAU`` asks for the Gram cut.  A tail below
+    ``_SKETCH_TAIL`` asks for the sketched cut, on a block at least
+    ``_SKETCH_SIDE`` l on its smaller side, until one gives way in the
+    sweep.  A tail in between, or none, asks for nothing.
+    """
+    if hint.tail is None:
+        return None
+    if hint.tail >= _GRAM_TAU:
+        return _gram_cut(m, chi_max, rel)
+    if (hint.tail < _SKETCH_TAIL and hint.sketch
+            and min(m.shape) >= _SKETCH_SIDE * (chi_max + _SKETCH_OVERSAMPLE)):
+        cut = _sketch_cut(m, chi_max, rel)
+        hint.sketch = cut is not None
+        return cut
+    return None
+
+
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
-                 tail: Optional[float] = None) -> SvdFactors:
+                 hint: Optional[SweepHint] = None) -> SvdFactors:
     """SVD of a matrix, truncated by bond cap and relative cutoff.
 
     Values with s_k < max(cutoff, max(M, N) * eps) * s_0 are dropped, for an
@@ -287,13 +347,13 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
     is applied afterwards and is absolute.  ``discarded_weight`` is the plain
     sum of squared dropped values, those below the floor included.
 
-    ``tail`` is the caller's hint that the cap decides this cut: the ratio
-    s[-1] / s[0] of a neighbouring cut that kept ``chi_max`` values, or None
-    for no hint.  A tail of at least ``_GRAM_TAU`` asks for the Gram cut
-    (``_gram_cut``), 1.7x to 8x cheaper than gesdd at the zip-up's shapes; a
-    smaller one, whose spectrum the Gram matrix cannot resolve, asks for the
-    sketched cut (``_sketch_cut``).  gesdd takes the block wherever the cut
-    asked for gives way, so the same number of values is kept either way.
+    ``hint`` is the caller's sweep (``SweepHint``), updated by this cut.
+    Where it says the cap likely decides this cut, the cut is first asked of
+    the Gram cut (``_gram_cut``, 1.7x to 8x cheaper than gesdd at the
+    zip-up's shapes) or of the sketched cut (``_sketch_cut``, about 2x on
+    large blocks with steep tails); see ``_hinted_cut``.  gesdd takes the
+    block wherever the cut asked for gives way, so the same number of values
+    is kept either way.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be a positive integer")
@@ -302,10 +362,17 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
     # the floor in the precision of the singular values
     rel = max(cutoff, max(m.shape) * np.finfo(np.result_type(m.dtype, 1.0)).eps)
-    if tail is not None:
-        cut = (_gram_cut if tail >= _GRAM_TAU else _sketch_cut)(m, chi_max, rel)
-        if cut is not None:
-            return cut
+    cut = None if hint is None else _hinted_cut(m, chi_max, rel, hint)
+    if cut is None:
+        cut = _gesdd_cut(m, chi_max, rel)
+    if hint is not None:
+        s = cut.s
+        hint.tail = s[-1] / s[0] if len(s) == chi_max and s[0] > 0.0 else None
+    return cut
+
+
+def _gesdd_cut(m: np.ndarray, chi_max: int, rel: float) -> SvdFactors:
+    """``svd_truncate``'s rule on gesdd's factors."""
     u, s, vh = _svd(m)
     keep = len(s)
     if keep > 0 and s[0] > 0.0:

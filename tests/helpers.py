@@ -8,7 +8,7 @@ from temporal_im.influence import InfluenceMatrix
 from temporal_im.mps import TemporalMpo, TemporalMps, ZipupResult
 from temporal_im.observables import Insertion, InsertionPlan
 from temporal_im import tensor
-from temporal_im.tensor import _openblas_libs, svd_truncate
+from temporal_im.tensor import SweepHint, _openblas_libs, svd_truncate
 
 
 def im_bits(im: InfluenceMatrix) -> tuple:
@@ -66,14 +66,6 @@ def cut_spy(monkeypatch, name: str) -> list:
     return calls
 
 
-def gram_cut_spy(monkeypatch) -> list:
-    return cut_spy(monkeypatch, "_gram_cut")
-
-
-def sketch_cut_spy(monkeypatch) -> list:
-    return cut_spy(monkeypatch, "_sketch_cut")
-
-
 # ---- np.tensordot references of the contraction kernels in ``mps``; the
 # kernels must match them bit for bit
 
@@ -96,19 +88,19 @@ def _entropy_ref(s: np.ndarray) -> float:
 def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
                     cutoff: float = 0.0) -> ZipupResult:
     """``apply_mpo_zipup`` written with np.tensordot and np.linalg.norm.  Its
-    first sweep passes ``svd_truncate`` the hint the kernel passes: s[-1] /
-    s[0] of the cut before, when that one kept ``chi_max`` values."""
+    first sweep passes ``svd_truncate`` one ``SweepHint``, as the kernel's
+    does."""
     T, norm_log, discarded, out = psi.T, psi.norm_log, 0.0, []
 
-    def event(m, tail=None):
-        u, s, vh, w = svd_truncate(m, chi_max, cutoff, tail=tail)
+    def event(m, hint=None):
+        u, s, vh, w = svd_truncate(m, chi_max, cutoff, hint=hint)
         total = float(np.sum(s ** 2)) + w
         nonlocal discarded
         discarded += w / total if total > 0 else 0.0
         return u, s, vh
 
     zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
-    tail = None
+    hint = SweepHint()
     for i in range(T):
         tmp = np.tensordot(zipper, psi.tensors[i], axes=(2, 0))
         theta = np.tensordot(tmp, op.tensors[i], axes=([1, 2], [0, 2]))
@@ -117,8 +109,7 @@ def zipup_tensordot(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         if i == T - 1:
             out.append(theta.reshape(c, 4, wr * ar))
             break
-        u, s, vh = event(theta.reshape(c * 4, wr * ar), tail)
-        tail = s[-1] / s[0] if len(s) == chi_max and s[0] > 0.0 else None
+        u, s, vh = event(theta.reshape(c * 4, wr * ar), hint)
         out.append(u.reshape(c, 4, -1))
         sn = float(np.linalg.norm(s))
         if sn > 0:

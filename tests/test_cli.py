@@ -316,8 +316,8 @@ def test_manifest_solve_summary(tmp_path, monkeypatch):
     from temporal_im import mps
     real_svd_truncate, floor_weights = mps.svd_truncate, []
 
-    def svd_truncate(m, chi_max, cutoff=0.0, tail=None):
-        f = real_svd_truncate(m, chi_max, cutoff, tail=tail)
+    def svd_truncate(m, chi_max, cutoff=0.0, hint=None):
+        f = real_svd_truncate(m, chi_max, cutoff, hint=hint)
         dropped = min(m.shape) - len(f.s)
         floor_weights.append(dropped * (max(m.shape) * np.finfo(m.dtype).eps) ** 2)
         return f

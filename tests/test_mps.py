@@ -9,8 +9,7 @@ from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              product_mps)
 from temporal_im.tensor import NumericalInstabilityError, svd_truncate
 
-from helpers import (failing_svd, gram_cut_spy, overlap_tensordot,
-                     sketch_cut_spy, zipup_tensordot)
+from helpers import cut_spy, failing_svd, overlap_tensordot, zipup_tensordot
 
 rng = np.random.default_rng(11)
 
@@ -160,7 +159,8 @@ def test_zipup_is_bitwise_the_tensordot_zipup(monkeypatch, case, real):
     if real:
         psi, op = _real_part(psi), _real_part(op)
     chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
-    gram_cuts, sketches = gram_cut_spy(monkeypatch), sketch_cut_spy(monkeypatch)
+    gram_cuts = cut_spy(monkeypatch, "_gram_cut")
+    sketches = cut_spy(monkeypatch, "_sketch_cut")
     got = apply_mpo_zipup(op, psi, chi_max, cutoff)
     kernel_cuts, kernel_sketches = list(gram_cuts), list(sketches)
     want = zipup_tensordot(op, psi, chi_max, cutoff)

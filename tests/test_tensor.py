@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from temporal_im import tensor
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
                                 FOLDED_SIGMA, FOLDED_SIGMA_BAR,
-                                NumericalInstabilityError, one_blas_thread,
-                                svd_truncate)
+                                NumericalInstabilityError, SweepHint,
+                                one_blas_thread, svd_truncate)
 
-from helpers import failing_svd, gram_cut_spy, sketch_cut_spy
+from helpers import cut_spy, failing_svd
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
@@ -140,8 +140,8 @@ def test_gram_cut_matches_gesdd(monkeypatch, shape, dtype):
     block and the same discarded weight, with isometric factors.  A tall
     complex block is cut through its plain transpose."""
     m = _planted(shape, dtype, np.geomspace(1.0, 1e-2, min(shape)))
-    calls = gram_cut_spy(monkeypatch)
-    g = svd_truncate(m, chi_max=10, cutoff=1e-12, tail=1.0)
+    calls = cut_spy(monkeypatch, "_gram_cut")
+    g = svd_truncate(m, chi_max=10, cutoff=1e-12, hint=SweepHint(1.0))
     d = svd_truncate(m, chi_max=10, cutoff=1e-12)
     assert calls == [True]
     assert g.u.dtype == g.vh.dtype == m.dtype and g.u.flags.c_contiguous
@@ -161,7 +161,7 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
     dropped value is below tau s_0, where a cutoff above tau would keep
     fewer values than the cap, and where eigh fails."""
     tau = tensor._GRAM_TAU
-    calls = gram_cut_spy(monkeypatch)
+    calls = cut_spy(monkeypatch, "_gram_cut")
     s = [1.0, 0.5, 0.2, 5e-3, 4e-3, 3e-3, 2e-3, 1.5e-3]  # s_4 = 4 tau
     m = _planted((16, 8), complex, s)
     cases = [
@@ -172,19 +172,19 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
         (np.array([[0, -1e-10, 0], [0, 0, 0], [1, 0, 0], [0, 0, 1e-11]]), 1, 0.0),
     ]
     for block, chi, cutoff in cases:
-        got = svd_truncate(block, chi_max=chi, cutoff=cutoff, tail=1.0)
+        got = svd_truncate(block, chi_max=chi, cutoff=cutoff, hint=SweepHint(1.0))
         _same_factors(got, svd_truncate(block, chi_max=chi, cutoff=cutoff))
     assert calls == [False] * len(cases)
     assert len(svd_truncate(m, chi_max=4, cutoff=1e-2).s) == 3
     # the same block at a cutoff below s_3 is cut by the cap, from G
-    assert len(svd_truncate(m, chi_max=4, cutoff=4e-3, tail=1.0).s) == 4
+    assert len(svd_truncate(m, chi_max=4, cutoff=4e-3, hint=SweepHint(1.0)).s) == 4
     assert calls[-1] and s[3] > 4e-3 > tau
 
     def failing_eigh(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    got = svd_truncate(m, chi_max=4, tail=1.0)
+    got = svd_truncate(m, chi_max=4, hint=SweepHint(1.0))
     _same_factors(got, svd_truncate(m, chi_max=4))
     assert calls[-1] is False
 
@@ -192,14 +192,14 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
 @pytest.mark.parametrize("shape", [(12, 9), (9, 12)], ids=["tall", "wide"])
 def test_gram_cut_of_nan_block_raises(monkeypatch, shape):
     """A NaN block never reaches eigh; gesdd takes it and rejects it."""
-    calls = gram_cut_spy(monkeypatch)
+    calls = cut_spy(monkeypatch, "_gram_cut")
     real_eigh, eighs = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda g: eighs.append(g.shape) or real_eigh(g))
     m = crand(*shape)
     m[3, 4] = np.nan
     with pytest.raises(NumericalInstabilityError, match="non-finite"):
-        svd_truncate(m, chi_max=4, tail=1.0)
+        svd_truncate(m, chi_max=4, hint=SweepHint(1.0))
     assert calls == [False] and eighs == []
 
 
@@ -212,15 +212,16 @@ def test_gram_cut_keeps_what_gesdd_keeps(seed, shape, chi, cutoff):
     r = np.random.default_rng(seed)
     s = np.sort(10.0 ** r.uniform(-4.5, 0, size=min(shape)))[::-1]
     m = _planted(shape, np.float64, s / s[0])
-    g = svd_truncate(m, chi_max=chi, cutoff=cutoff, tail=1.0)
+    g = svd_truncate(m, chi_max=chi, cutoff=cutoff, hint=SweepHint(1.0))
     d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
     assert len(g.s) == len(d.s)
     assert np.allclose(g.u * g.s @ g.vh, d.u * d.s @ d.vh, rtol=0, atol=1e-12)
     assert np.isclose(g.discarded_weight, d.discarded_weight, rtol=1e-9, atol=1e-15)
 
 
-# blocks of 40 values for the sketched cut at chi = 8 (l = 20), s_0 = 1:
-# spectrum, cutoff, and whether the certificate holds
+# spectra of 40 values for the sketched cut at chi = 8 (l = 20), s_0 = 1,
+# planted in blocks 50 wide, the least it is asked for: spectrum, cutoff,
+# and whether the certificate holds
 _STEEP = 10.0 ** (-0.9 * np.arange(40))  # s_chi ~ 6e-8 s_0, as on the quench
 _SKETCHED = {
     "steep": (_STEEP, 0.0, True),
@@ -239,7 +240,7 @@ _SKETCHED = {
 
 
 @pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
-@pytest.mark.parametrize("shape", [(60, 40), (40, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("shape", [(60, 50), (50, 60)], ids=["tall", "wide"])
 @pytest.mark.parametrize("block", sorted(_SKETCHED))
 def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
                                                        shape, dtype):
@@ -250,8 +251,8 @@ def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
     chi, eta = 8, tensor._SKETCH_ETA
     spectrum, cutoff, certified = _SKETCHED[block]
     m = _planted(shape, dtype, spectrum)
-    calls = sketch_cut_spy(monkeypatch)
-    f = svd_truncate(m, chi_max=chi, cutoff=cutoff, tail=1e-8)
+    calls = cut_spy(monkeypatch, "_sketch_cut")
+    f = svd_truncate(m, chi_max=chi, cutoff=cutoff, hint=SweepHint(1e-8))
     d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
     assert calls == [certified]
     if not certified:
@@ -270,16 +271,45 @@ def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
 def test_sketch_cut_gives_way_to_a_non_finite_block(monkeypatch):
     """A NaN or an infinity in a block large enough to sketch reaches no
     factorization: the sketch gives way, and the retry rejects the block."""
-    blocks = [_planted((60, 40), np.float64, _STEEP) for _ in range(2)]
+    blocks = [_planted((60, 50), np.float64, _STEEP) for _ in range(2)]
     blocks[0][7, 3], blocks[1][7, 3] = np.nan, np.inf
-    calls = sketch_cut_spy(monkeypatch)
+    calls = cut_spy(monkeypatch, "_sketch_cut")
     real_qr, qrs = np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape)
                         or real_qr(a, *args))
     for m in blocks:
         with pytest.raises(NumericalInstabilityError, match="non-finite"):
-            svd_truncate(m, chi_max=8, tail=1e-8)
+            svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
     assert calls == [False, False] and qrs == []
+
+
+def test_sweep_hint_routes(monkeypatch):
+    """A hint asks for the Gram cut at a tail of at least tau, for the
+    sketched cut below tau^2 on a block at least 2.5 l wide, and for nothing
+    in between.  A sketch that gives way stops the sweep's sketches; every
+    cut leaves its own tail in the hint."""
+    gram = cut_spy(monkeypatch, "_gram_cut")
+    sketch = cut_spy(monkeypatch, "_sketch_cut")
+    steep = _planted((60, 50), np.float64, _STEEP)
+    flat = _planted((60, 50), np.float64, np.geomspace(1.0, 1e-2, 40))
+    for tail in (1e-3, 1e-4, 1e-6):
+        svd_truncate(steep, chi_max=8, hint=SweepHint(tail))
+    assert gram == [False] and sketch == []
+    svd_truncate(steep[:, :49], chi_max=8, hint=SweepHint(1e-8))
+    assert sketch == []
+
+    hint = SweepHint(1e-8)
+    f = svd_truncate(steep, chi_max=8, hint=hint)
+    assert hint.sketch and hint.tail == f.s[-1] / f.s[0] < 1e-6
+    svd_truncate(flat, chi_max=8, hint=hint)
+    assert sketch == [True, False] and not hint.sketch
+    hint.tail = 1e-8
+    svd_truncate(steep, chi_max=8, hint=hint)
+    assert sketch == [True, False]
+    svd_truncate(steep, chi_max=8, hint=SweepHint(1e-8))
+    assert sketch == [True, False, True]
+    svd_truncate(steep, chi_max=40, hint=hint)  # the cutoff decides: no tail
+    assert hint.tail is None
 
 
 def _splitmix64_sign(k: int) -> float:
@@ -309,20 +339,20 @@ def test_sketch_matrix_is_a_function_of_its_shape_alone():
 
 def test_sketch_cut_is_the_same_on_two_threads():
     """Two threads cutting one block at once get the bytes of a serial cut."""
-    m = _planted((60, 40), np.float64, _STEEP)
+    m = _planted((60, 50), np.float64, _STEEP)
     tensor._sketch_matrix.cache_clear()
     start, got = threading.Barrier(2), [None, None]
 
     def cut(i):
         start.wait()
-        got[i] = svd_truncate(m, chi_max=8, tail=1e-8)
+        got[i] = svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
 
     threads = [threading.Thread(target=cut, args=(i,)) for i in range(2)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
-    want = svd_truncate(m, chi_max=8, tail=1e-8)
+    want = svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
     for f in got:
         assert len(f.s) == 8
         assert [x.tobytes() for x in f[:3]] == [x.tobytes() for x in want[:3]]
@@ -335,15 +365,17 @@ def test_sketch_cut_is_the_same_on_two_threads():
 def test_block_with_an_infinity_raises(monkeypatch, shape, dtype):
     """gesdd returns NaN values for a block holding an infinity without
     raising (or never returns, on some blocks); the block never reaches it,
-    and the retry rejects it.  The Gram and sketched cuts give way first."""
-    gram, sketch = gram_cut_spy(monkeypatch), sketch_cut_spy(monkeypatch)
-    for tail in (None, 1.0, 1e-8):
+    and the retry rejects it.  The Gram cut gives way first; these blocks
+    are too small to sketch."""
+    gram = cut_spy(monkeypatch, "_gram_cut")
+    sketch = cut_spy(monkeypatch, "_sketch_cut")
+    for hint in (None, SweepHint(1.0), SweepHint(1e-8)):
         m = crand(*shape)
         m = m if dtype is complex else m.real.copy()
         m[3, 2] = np.inf
         with pytest.raises(NumericalInstabilityError, match="non-finite"):
-            svd_truncate(m, chi_max=2, tail=tail)
-    assert gram == [False] and sketch == [False]
+            svd_truncate(m, chi_max=2, hint=hint)
+    assert gram == [False] and sketch == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,6 +446,23 @@ def test_non_finite_values_from_gesdd_go_to_the_retry(monkeypatch):
     f = svd_truncate(m, chi_max=5)
     assert calls == [(7, 5), (5, 5)]  # the block, then its QR factor R
     assert np.allclose(f.u * f.s @ f.vh, m, rtol=0, atol=1e-12)
+
+
+def test_non_finite_values_from_every_gesdd_call_raise(monkeypatch):
+    """Where gesdd returns non-finite values on the block, on R and on R's
+    transpose, the cut raises instead of returning NaN factors."""
+    m = crand(7, 5)
+    real_svd, calls = np.linalg.svd, []
+
+    def svd(a, **kwargs):
+        calls.append(a.shape)
+        u, s, vh = real_svd(a, **kwargs)
+        return u, np.full_like(s, np.nan), vh
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(NumericalInstabilityError):
+        svd_truncate(m, chi_max=5)
+    assert calls == [(7, 5), (5, 5), (5, 5)]
 
 
 def _fresh_python(code: str) -> str:

@@ -133,12 +133,12 @@ def test_nan_block_on_the_gram_path_exits_3(tmp_path, monkeypatch):
     from temporal_im import mps
     real_svd_truncate, asked = mps.svd_truncate, []
 
-    def svd_truncate(m, chi_max, cutoff=0.0, tail=None):
-        if tail is not None and min(m.shape) > chi_max:  # a cut to make
+    def svd_truncate(m, chi_max, cutoff=0.0, hint=None):
+        if hint is not None and hint.tail is not None and min(m.shape) > chi_max:
             asked.append(m.shape)
             m = m.copy()
             m[0, 0] = np.nan
-        return real_svd_truncate(m, chi_max, cutoff, tail=tail)
+        return real_svd_truncate(m, chi_max, cutoff, hint=hint)
 
     monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
     cfg = tmp_path / "capped.cfg"
@@ -158,12 +158,13 @@ def test_infinite_block_exits_3(tmp_path, monkeypatch, hinted):
     from temporal_im import mps
     real_svd_truncate, asked = mps.svd_truncate, []
 
-    def svd_truncate(m, chi_max, cutoff=0.0, tail=None):
-        if (tail is not None) == hinted and min(m.shape) > chi_max:
+    def svd_truncate(m, chi_max, cutoff=0.0, hint=None):
+        if (hint is not None and hint.tail is not None) == hinted \
+                and min(m.shape) > chi_max:
             asked.append(m.shape)
             m = m.copy()
             m[0, 0] = np.inf
-        return real_svd_truncate(m, chi_max, cutoff, tail=tail)
+        return real_svd_truncate(m, chi_max, cutoff, hint=hint)
 
     monkeypatch.setattr(mps, "svd_truncate", svd_truncate)
     cfg = tmp_path / "capped.cfg"
