@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .models import Impurity, ModelSpec, trotter_steps, trotterize
 from .influence import BOUNDARY_KINDS, NumericalInstabilityError
-from .oracles import ResourceLimitError
 from .tensor import one_blas_thread
 
 EXPERIMENTS = ("floquet-czz", "hamiltonian-impurity", "quench", "dtc",
@@ -42,7 +41,6 @@ CSV_COLUMNS = ("abscissa", "value_re", "value_im", "entropy_halfcut",
 
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
-EXIT_RESOURCE = 4
 
 
 class ConfigError(ValueError):
@@ -239,17 +237,10 @@ def write_series_csv(path: str, series, chi: int, eps: float, boundary: str,
                      seed: Optional[int]) -> None:
     """Atomic write (temp + rename), fixed column order, 17 digits."""
     ex = series.extras
-    n = len(series.abscissa)
-
-    def col(name, default=float("nan")):
-        vals = ex.get(name)
-        if vals is None:
-            return [default] * n
-        return vals
     lines = [",".join(CSV_COLUMNS)]
-    halfs, maxs, dws = col("entropy_halfcut"), col("entropy_max"), col("discarded_weight")
+    halfs, maxs, dws = ex["entropy_halfcut"], ex["entropy_max"], ex["discarded_weight"]
     seed_txt = "nan" if seed is None else str(int(seed))
-    for i in range(n):
+    for i in range(len(series.abscissa)):
         v = complex(series.values[i])
         row = (_g17(series.abscissa[i]), _g17(v.real), _g17(v.imag),
                _g17(halfs[i]), _g17(maxs[i]), _g17(dws[i]),
@@ -350,7 +341,7 @@ def _series_jobs(cfg: ExperimentConfig):
 
         def job(chi, b, im_sink):
             return observables.autocorrelator_series(
-                spec, chi, cutoff, spec.T, boundary=b, reuse_im=reuse,
+                spec, chi, cutoff, boundary=b, reuse_im=reuse,
                 im_sink=im_sink)
     return [((chi, b), partial(job, chi, b)) for chi in sorted(cfg.chi, reverse=True)
             for b in cfg.get("boundary", ["open"])]
@@ -532,9 +523,6 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
     except NumericalInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except ResourceLimitError as exc:
-        print(f"resource bound: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -91,10 +91,6 @@ class ModelSpec:
         """Symmetric kick splitting is in effect."""
         return self.eps > 0
 
-    @property
-    def t(self) -> Optional[float]:
-        return self.T * self.eps if self.eps > 0 else None
-
 
 @dataclass(frozen=True)
 class LocalKernel:

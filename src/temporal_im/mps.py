@@ -30,13 +30,8 @@ class TemporalMps:
     def T(self) -> int:
         return len(self.tensors)
 
-    def bond_dims(self) -> List[int]:
-        """Interior bond extents, bonds 1..T-1."""
-        return [t.shape[0] for t in self.tensors[1:]]
-
     def max_bond(self) -> int:
-        dims = self.bond_dims()
-        return max(dims) if dims else 1
+        return max((t.shape[0] for t in self.tensors[1:]), default=1)
 
     def dense(self) -> np.ndarray:
         """Full 4^T amplitude vector.  Small T only."""
@@ -121,13 +116,16 @@ def mps_norm(psi: TemporalMps) -> float:
     return float(np.sqrt(abs(overlap(psi, psi))))
 
 
+def _unit_norm(s: np.ndarray):
+    """``s`` scaled to unit norm, and the log of its norm (0 for s = 0)."""
+    sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
+    return (s / sn, np.log(sn)) if sn > 0 else (s, 0.0)
+
+
 def _schmidt_entropy(s: np.ndarray) -> float:
-    """Von Neumann entropy (natural log) of singular values ``s``, taken
-    after normalising them so their squares sum to 1."""
-    s = np.asarray(s, dtype=float)
-    nrm = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
-    lam = s / nrm if nrm > 0 else s
-    w = lam ** 2
+    """Von Neumann entropy (natural log) of Schmidt values ``s`` scaled to
+    unit norm (``_unit_norm``)."""
+    w = s ** 2
     w = w[w > 1e-300]
     return float(-np.sum(w * np.log(w)))
 
@@ -144,10 +142,9 @@ def entropy_profile(psi: TemporalMps) -> List[float]:
     for i in range(T - 1):
         chi_l, _, chi_r = carry.shape
         u, s, vh = _svd(carry.reshape(chi_l * 4, chi_r))
+        s = _unit_norm(s)[0]
         out.append(_schmidt_entropy(s))
-        sn = np.linalg.norm(s)
-        nxt = np.tensordot((s / sn)[:, None] * vh, tensors[i + 1], axes=(1, 0))
-        carry = nxt
+        carry = np.tensordot(s[:, None] * vh, tensors[i + 1], axes=(1, 0))
     return out
 
 
@@ -160,10 +157,13 @@ class ZipupResult:
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
                     hint: Optional[SweepHint] = None):
+    """One cut of the zip-up: the kept u, s, vh with s scaled to unit norm,
+    the log of that norm, and the dropped fraction of the block's weight."""
     u, s, vh, w = svd_truncate(theta, chi_max, cutoff, hint=hint)
     total = float(np.sum(s ** 2)) + w
     frac = w / total if total > 0 else 0.0
-    return u, s, vh, frac
+    s, log_norm = _unit_norm(s)
+    return u, s, vh, log_norm, frac
 
 
 def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
@@ -216,27 +216,22 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         if i == T - 1:
             out.append(theta.reshape(c, 4, wr * ar))
             break
-        u, s, vh, frac = _truncate_event(theta.reshape(c * 4, wr * ar), chi_max,
-                                         cutoff, hint)
+        u, s, vh, log_norm, frac = _truncate_event(
+            theta.reshape(c * 4, wr * ar), chi_max, cutoff, hint)
+        norm_log += log_norm
         discarded += frac
         out.append(u.reshape(c, 4, -1))
-        sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
-        if sn > 0:
-            norm_log += np.log(sn)
-            s = s / sn
         zipper = (s[:, None] * vh).reshape(-1, wr, ar)
     # right-to-left compression sweep
     entropies = [0.0] * (T - 1)
     for i in range(T - 1, 0, -1):
         chi_l, _, chi_r = out[i].shape
-        u, s, vh, frac = _truncate_event(out[i].reshape(chi_l, 4 * chi_r), chi_max, cutoff)
+        u, s, vh, log_norm, frac = _truncate_event(
+            out[i].reshape(chi_l, 4 * chi_r), chi_max, cutoff)
+        norm_log += log_norm
         discarded += frac
         entropies[i - 1] = _schmidt_entropy(s)
         out[i] = vh.reshape(-1, 4, chi_r)
-        sn = math.sqrt(s.dot(s))  # np.linalg.norm(s), bit for bit
-        if sn > 0:
-            norm_log += np.log(sn)
-            s = s / sn
         cl = out[i - 1].shape[0]
         out[i - 1] = np.dot(out[i - 1].reshape(cl * 4, chi_l), u * s[None, :]).reshape(cl, 4, -1)
     return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -305,24 +305,23 @@ def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
 
 
 def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
-                          T_max: Optional[int] = None, *, boundary: str = "open",
+                          *, boundary: str = "open",
                           reuse_im: bool = False,
                           im_sink: Optional[list] = None) -> ResultSeries:
-    """Infinite-temperature C_zz(T) for T = 0..T_max.
+    """Infinite-temperature C_zz(T) for T = 0..spec.T.
 
     By default the IMs of every T are grown in one slice chain, one
     application per T (``grow_ims``), and each is contracted once.  With
-    ``reuse_im`` one solve at T_max serves all earlier times through
+    ``reuse_im`` one solve at spec.T serves all earlier times through
     intermediate insertions; exact for converged IMs.  Growth costs about
-    T_max^2 / 2 site steps, so a solve that converges in a few applications
-    is cheaper at large T_max.  ``boundary`` other than ``open`` needs
+    T^2 / 2 site steps, so a solve that converges in a few applications
+    is cheaper at large T.  ``boundary`` other than ``open`` needs
     ``reuse_im``.  ``im_sink`` is any object with ``append``; it receives
     every IM as it is made.
     """
     if spec.initial_state != "infinite_temperature":
         raise ValueError("autocorrelator needs the infinite-temperature state")
-    sp = spec if T_max is None else replace(spec, T=T_max)
-    return _z_series("autocorrelator", sp, [Insertion(0, "forward", "z")],
+    return _z_series("autocorrelator", spec, [Insertion(0, "forward", "z")],
                      chi_max, cutoff, boundary, reuse_im, im_sink)
 
 

@@ -1,21 +1,23 @@
 """Dense complex tensor primitives: truncated SVD, the folded-index tables,
 and the BLAS thread pin the command line runs them under.
 
-The engine needs numpy only.  A truncation is numpy's gesdd, retried through
-a QR factorization on a block where it fails to converge or returns
-non-finite values (``_svd_retry``).  A cut that its caller's sweep
-(``SweepHint``) expects the bond cap to decide may instead come from one of
-two cheaper factorizations: the eigendecomposition of the block's smaller
-Gram matrix (``_gram_cut``) where the previous cut's spectrum was resolved
-at the cap (``_GRAM_TAU``), and a sketch of the block's range with a fixed
-+-1 test matrix (``_sketch_cut``) where its tail was far below that
-(``_SKETCH_TAIL``), on blocks wide enough for the sketch to pay
-(``_SKETCH_SIDE``), until a sketch in the sweep gives way.  A sketched cut
-is kept only under an after-the-fact certificate: the cap decides its kept
-count for the block's own singular values, its residual is at most
-``_SKETCH_ETA`` times its first dropped value, so its error is at most
-sqrt(1 + eta^2) times gesdd's, and it reproduces the block on its kept
-right vectors to the relative precision of the Gram cut's values.
+The engine needs numpy only.  Every cut goes through ``svd_truncate``:
+screen, route, gesdd, retry.  The block is screened once for a NaN or an
+infinity (``_screened``) before any route sees it.  A cut that its caller's
+sweep (``SweepHint``) expects the bond cap to decide may then come from a
+cheaper route: the eigendecomposition of the block's smaller Gram matrix
+(``_gram_cut``) where the previous cut's spectrum was resolved at the cap
+(``_GRAM_TAU``), or a sketch of its range with a fixed +-1 test matrix
+(``_sketch_cut``) where that tail was far lower (``_SKETCH_TAIL``), on
+blocks wide enough for the sketch to pay (``_SKETCH_SIDE``), until a
+sketch in the sweep gives way.  A sketched cut is kept only under an
+after-the-fact certificate: the cap decides its kept count for the block's
+own singular values, its residual is at most ``_SKETCH_ETA`` times its
+first dropped value, so its error is at most sqrt(1 + eta^2) times
+gesdd's, and it reproduces the block on its kept right vectors to the
+relative precision of the Gram cut's values.  Elsewhere numpy's gesdd
+(``_gesdd``, its one call site) takes the block, retried through a QR
+factorization where it fails (``_svd``).
 
 Folded-index convention used throughout the package: a physical leg of the
 temporal chain has dimension 4 and enumerates the forward/backward z-value
@@ -28,6 +30,7 @@ import ctypes
 import functools
 import math
 import threading
+from dataclasses import dataclass
 from typing import Dict, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -113,6 +116,7 @@ class SvdFactors(NamedTuple):
     discarded_weight: float
 
 
+@dataclass
 class SweepHint:
     """What a sweep of cuts tells ``svd_truncate`` about its next cut.
 
@@ -125,48 +129,49 @@ class SweepHint:
     makes one hint and passes it to each of its cuts, and ``svd_truncate``
     updates it after every cut.
     """
-    __slots__ = ("tail", "sketch")
-
-    def __init__(self, tail: Optional[float] = None, sketch: bool = True):
-        self.tail, self.sketch = tail, sketch
+    tail: Optional[float] = None
+    sketch: bool = True
 
 
-def _svd(m: np.ndarray):
-    # gesdd returns NaN values for some blocks that hold an infinity, and
-    # never returns on others; the sum is not finite for either
-    if not np.isfinite(np.sum(m)):
-        return _svd_retry(m)
+def _screened(m: np.ndarray) -> bool:
+    """Whether the squared norm of ``m`` is finite.  No sum of squared
+    moduli cancels a NaN or an infinity, and ``np.vdot`` warns on neither;
+    a squared norm that overflows (entries above about 1e154) fails too."""
+    return bool(np.isfinite(np.vdot(m, m)))
+
+
+def _gesdd(m: np.ndarray):
+    """gesdd's thin factors (u, s, vh) of ``m``, or None where it raises or
+    returns non-finite values."""
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
-        return _svd_retry(m)
-    if not np.isfinite(s).all():
-        return _svd_retry(m)
-    return u, s, vh
+        return None
+    return (u, s, vh) if np.isfinite(s).all() else None
 
 
-def _svd_retry(m: np.ndarray):
-    """SVD of a block that gesdd could not take: it failed to converge or
-    gave non-finite values, or the block's sum is not finite.
-
-    gesdd runs on the triangular factor R of a Householder QR of ``m`` (of
-    its transpose when ``m`` is wide), then on R's transpose, and the factors
-    are mapped back.  A try fails where gesdd raises or returns non-finite
-    values.  A non-finite block, or one on which both tries fail, raises
-    ``NumericalInstabilityError``.
+def _svd(m: np.ndarray):
+    """Thin SVD of ``m``.  gesdd takes a block that passes the screen; it
+    can return NaN values for a block holding an infinity, or never return.
+    Any other block, or one gesdd fails on, goes to the retry.  It raises
+    ``NumericalInstabilityError`` on a NaN or an infinity entry, runs gesdd
+    on the triangular factor R of a Householder QR of ``m`` (of its
+    transpose when ``m`` is wide), then on R's transpose, maps the factors
+    back, and raises where both fail.
     """
+    f = _gesdd(m) if _screened(m) else None
+    if f is not None:
+        return f
     if not np.isfinite(m).all():
         raise NumericalInstabilityError(
             f"SVD of a {m.shape[0]}x{m.shape[1]} block with non-finite entries")
     wide = m.shape[0] < m.shape[1]
     q, r = np.linalg.qr(m.T if wide else m)
     for flip in (False, True):
-        try:
-            u, s, vh = np.linalg.svd(r.T if flip else r, full_matrices=False)
-        except np.linalg.LinAlgError:
+        f = _gesdd(r.T if flip else r)
+        if f is None:
             continue
-        if not np.isfinite(s).all():
-            continue
+        u, s, vh = f
         if flip:  # r = (u s vh)^T
             u, vh = vh.T, u.T
         u = q @ u
@@ -187,8 +192,8 @@ def _gram_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]:
     block is cut as a = m^T, and its factors map back by plain transposes,
     not conjugate ones.
 
-    None when min(M, N) <= ``chi_max`` (nothing to cut), when G is not
-    finite or eigh fails, when the first dropped value is below
+    The block has passed the screen.  None when min(M, N) <= ``chi_max``
+    (nothing to cut), when eigh fails, when the first dropped value is below
     ``_GRAM_TAU * s_0`` (its tail is not resolved), or when the last kept
     value is not above ``rel * s_0`` by more than the error the resolution
     allows, so that gesdd's rule might keep fewer than ``chi_max`` values.
@@ -200,8 +205,6 @@ def _gram_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]:
     wide = rows <= cols
     a = m if wide else m.T
     g = np.dot(a, a.conj().T)
-    if not np.isfinite(g).all():
-        return None
     try:
         lam, vecs = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
@@ -276,15 +279,13 @@ def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]
       whose sketch keeps a subspace that differs from gesdd's at the
       truncation level, gives way here.
 
-    None also when the block is not finite, or when gesdd of B fails.  The
-    block must be larger than l on both sides; ``_hinted_cut`` asks only
-    for blocks at least ``_SKETCH_SIDE`` l on each.
+    None also when gesdd of B fails.  The block has passed the screen, and
+    it must be larger than l on both sides; ``_hinted_cut`` asks only for
+    blocks at least ``_SKETCH_SIDE`` l on each.
     """
     rows, cols = m.shape
     ell = chi_max + _SKETCH_OVERSAMPLE
     norms = np.linalg.norm(m, axis=0)
-    if not np.isfinite(norms).all():
-        return None
     overlap = np.dot(m[:, np.argmax(norms)].conj(), m)
     size = np.abs(overlap)
     phase = np.where(size > 0.0, overlap.conj(), 1.0) / np.where(size > 0.0, size, 1.0)
@@ -292,10 +293,10 @@ def _sketch_cut(m: np.ndarray, chi_max: int, rel: float) -> Optional[SvdFactors]
     q = np.linalg.qr(np.dot(m, _sketch_matrix(cols, ell) * phase[:, None]))[0]
     q = np.linalg.qr(np.dot(m, np.linalg.qr(np.dot(mh, q))[0]))[0]
     bh = np.dot(mh, q)
-    try:
-        v, s, ubh = np.linalg.svd(bh, full_matrices=False)  # B = ubh^H s v^H
-    except np.linalg.LinAlgError:
+    f = _gesdd(bh)
+    if f is None:
         return None
+    v, s, ubh = f  # B = ubh^H s v^H
     resid = m - np.dot(q, bh.conj().T)
     e = float(np.linalg.norm(resid))
     v = v[:, :chi_max]
@@ -318,18 +319,23 @@ def _hinted_cut(m: np.ndarray, chi_max: int, rel: float,
     A tail of at least ``_GRAM_TAU`` asks for the Gram cut.  A tail below
     ``_SKETCH_TAIL`` asks for the sketched cut, on a block at least
     ``_SKETCH_SIDE`` l on its smaller side, until one gives way in the
-    sweep.  A tail in between, or none, asks for nothing.
+    sweep.  A tail in between, or none, asks for nothing.  A block that
+    fails the screen reaches neither route.
     """
-    if hint.tail is None:
+    tail = hint.tail
+    if tail is not None and tail >= _GRAM_TAU:
+        route = _gram_cut
+    elif (tail is not None and tail < _SKETCH_TAIL and hint.sketch
+          and min(m.shape) >= _SKETCH_SIDE * (chi_max + _SKETCH_OVERSAMPLE)):
+        route = _sketch_cut
+    else:
         return None
-    if hint.tail >= _GRAM_TAU:
-        return _gram_cut(m, chi_max, rel)
-    if (hint.tail < _SKETCH_TAIL and hint.sketch
-            and min(m.shape) >= _SKETCH_SIDE * (chi_max + _SKETCH_OVERSAMPLE)):
-        cut = _sketch_cut(m, chi_max, rel)
+    if not _screened(m):
+        return None
+    cut = route(m, chi_max, rel)
+    if route is _sketch_cut:
         hint.sketch = cut is not None
-        return cut
-    return None
+    return cut
 
 
 def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
@@ -351,9 +357,10 @@ def svd_truncate(m: np.ndarray, chi_max: int, cutoff: float = 0.0,
     Where it says the cap likely decides this cut, the cut is first asked of
     the Gram cut (``_gram_cut``, 1.7x to 8x cheaper than gesdd at the
     zip-up's shapes) or of the sketched cut (``_sketch_cut``, about 2x on
-    large blocks with steep tails); see ``_hinted_cut``.  gesdd takes the
-    block wherever the cut asked for gives way, so the same number of values
-    is kept either way.
+    large blocks with steep tails); see ``_hinted_cut``.  A block reaches
+    either route only after it passed the screen (``_screened``).  gesdd
+    takes the block wherever the cut asked for gives way, so the same
+    number of values is kept either way.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be a positive integer")

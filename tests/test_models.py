@@ -44,10 +44,8 @@ def test_spec_validation():
 def test_effective_couplings_scale_with_step():
     s = ModelSpec(J=1.0, g=0.5, h=0.25, T=4)
     assert (s.J_eff, s.g_eff, s.h_eff) == (1.0, 0.5, 0.25)
-    assert s.t is None
     s = ModelSpec(J=1.0, g=0.5, h=0.25, T=4, eps=0.1)
     assert np.allclose((s.J_eff, s.g_eff, s.h_eff), (0.1, 0.05, 0.025))
-    assert np.isclose(s.t, 0.4)
     assert s.split_kick
     # an unsplit step of 0.1 is the eps = 0 spec at the scaled angles
     assert not ModelSpec(J=0.1, g=0.05, h=0.025, T=4).split_kick

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -189,18 +190,28 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
     assert calls[-1] is False
 
 
+def _qr_spy(monkeypatch) -> list:
+    """Record the shape of every ``np.linalg.qr`` call."""
+    real_qr, qrs = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape)
+                        or real_qr(a, *args))
+    return qrs
+
+
 @pytest.mark.parametrize("shape", [(12, 9), (9, 12)], ids=["tall", "wide"])
 def test_gram_cut_of_nan_block_raises(monkeypatch, shape):
-    """A NaN block never reaches eigh; gesdd takes it and rejects it."""
+    """A NaN block fails the screen: the Gram cut is never asked, eigh and
+    the QR retry never run, and the retry's per-entry check rejects it."""
     calls = cut_spy(monkeypatch, "_gram_cut")
     real_eigh, eighs = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda g: eighs.append(g.shape) or real_eigh(g))
+    qrs = _qr_spy(monkeypatch)
     m = crand(*shape)
     m[3, 4] = np.nan
     with pytest.raises(NumericalInstabilityError, match="non-finite"):
         svd_truncate(m, chi_max=4, hint=SweepHint(1.0))
-    assert calls == [False] and eighs == []
+    assert calls == [] and eighs == [] and qrs == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -266,21 +277,6 @@ def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
     slack = 100 * np.finfo(float).eps  # round-off of the error itself
     assert abs(err2 - f.discarded_weight) <= 2 * slack * np.sqrt(err2) + slack ** 2
     assert np.sqrt(err2) <= np.sqrt(1 + eta ** 2) * np.sqrt(d.discarded_weight) + slack
-
-
-def test_sketch_cut_gives_way_to_a_non_finite_block(monkeypatch):
-    """A NaN or an infinity in a block large enough to sketch reaches no
-    factorization: the sketch gives way, and the retry rejects the block."""
-    blocks = [_planted((60, 50), np.float64, _STEEP) for _ in range(2)]
-    blocks[0][7, 3], blocks[1][7, 3] = np.nan, np.inf
-    calls = cut_spy(monkeypatch, "_sketch_cut")
-    real_qr, qrs = np.linalg.qr, []
-    monkeypatch.setattr(np.linalg, "qr", lambda a, *args: qrs.append(a.shape)
-                        or real_qr(a, *args))
-    for m in blocks:
-        with pytest.raises(NumericalInstabilityError, match="non-finite"):
-            svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
-    assert calls == [False, False] and qrs == []
 
 
 def test_sweep_hint_routes(monkeypatch):
@@ -360,22 +356,46 @@ def test_sketch_cut_is_the_same_on_two_threads():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
-@pytest.mark.parametrize("shape", [(12, 9), (9, 12), (5, 4)],
-                         ids=["12x9", "9x12", "5x4"])
+@pytest.mark.parametrize("shape", [(12, 9), (9, 12), (5, 4), (60, 50)],
+                         ids=["12x9", "9x12", "5x4", "60x50"])
 def test_block_with_an_infinity_raises(monkeypatch, shape, dtype):
     """gesdd returns NaN values for a block holding an infinity without
-    raising (or never returns, on some blocks); the block never reaches it,
-    and the retry rejects it.  The Gram cut gives way first; these blocks
-    are too small to sketch."""
+    raising (or never returns, on some blocks).  Such a block, or one
+    holding a NaN, fails the screen whatever the hint: no route is asked
+    (the 60 x 50 block is wide enough to sketch), neither gesdd nor the QR
+    retry runs, and the retry's per-entry check rejects it."""
     gram = cut_spy(monkeypatch, "_gram_cut")
     sketch = cut_spy(monkeypatch, "_sketch_cut")
-    for hint in (None, SweepHint(1.0), SweepHint(1e-8)):
-        m = crand(*shape)
-        m = m if dtype is complex else m.real.copy()
-        m[3, 2] = np.inf
-        with pytest.raises(NumericalInstabilityError, match="non-finite"):
-            svd_truncate(m, chi_max=2, hint=hint)
-    assert gram == [False] and sketch == []
+    qrs = _qr_spy(monkeypatch)
+    seen = failing_svd(monkeypatch, failures=0)
+    for bad in (np.inf, np.nan):
+        for hint in (None, SweepHint(1.0), SweepHint(1e-8)):
+            m = crand(*shape)
+            m = m if dtype is complex else m.real.copy()
+            m[3, 2] = bad
+            with pytest.raises(NumericalInstabilityError, match="non-finite"):
+                svd_truncate(m, chi_max=2, hint=hint)
+    assert gram == [] and sketch == [] and qrs == [] and seen == []
+
+
+@pytest.mark.parametrize("shape", [(12, 9), (60, 50)], ids=["12x9", "60x50"])
+def test_block_whose_squared_norm_overflows_factors(monkeypatch, shape):
+    """A finite block scaled by 1e200 fails the screen, since its squared
+    norm overflows, and is factored through the QR retry.  Cut at
+    min(M, N), it keeps every value, equal to the unscaled block's times
+    1e200, without a floating-point warning."""
+    m = crand(*shape)
+    want = svd_truncate(m, chi_max=min(shape)).s * 1e200
+    gram = cut_spy(monkeypatch, "_gram_cut")
+    qrs = _qr_spy(monkeypatch)
+    big = m * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hint in (None, SweepHint(1.0), SweepHint(1e-8)):
+            f = svd_truncate(big, chi_max=min(shape), hint=hint)
+            assert len(f.s) == min(shape)
+            assert np.allclose(f.s, want, rtol=1e-12, atol=0)
+    assert gram == [] and len(qrs) == 3
 
 
 @settings(max_examples=40, deadline=None)

@@ -101,7 +101,7 @@ def test_main_exits_only_with_its_codes(text):
             f.write(text)
         out = os.path.join(tmp, "out")
         code = cli.main(["run", path, "--out", out])
-        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_UNSTABLE, cli.EXIT_RESOURCE)
+        assert code in (0, cli.EXIT_CONFIG, cli.EXIT_UNSTABLE)
         manifest = os.path.join(out, "run_manifest.json")
         if code != 0:
             assert not os.path.exists(manifest)
