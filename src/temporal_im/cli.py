@@ -32,9 +32,6 @@ from .models import Impurity, ModelSpec, trotter_steps, trotterize
 from .influence import BOUNDARY_KINDS, NumericalInstabilityError
 from .tensor import one_blas_thread
 
-EXPERIMENTS = ("floquet-czz", "hamiltonian-impurity", "quench", "dtc",
-               "entropy-scan")
-
 CSV_COLUMNS = ("abscissa", "value_re", "value_im", "entropy_halfcut",
                "entropy_max", "discarded_weight", "chi", "eps", "boundary",
                "seed")
@@ -63,13 +60,27 @@ _KEYS = {
     "seed": int, "out": str,
 }
 
-_REQUIRED = {
-    "floquet-czz": ("J", "g", "h", "T_max", "chi"),
-    "hamiltonian-impurity": ("J", "g", "h", "eps", "t_max", "alpha", "beta", "chi"),
-    "quench": ("J", "g", "h", "eps", "t_max", "chi"),
-    "dtc": ("eps_kick", "h", "T_max", "chi"),
-    "entropy-scan": ("chi",),
+# The keys each experiment reads: one or more forms, each a pair of
+# (required, optional) keys.  Every form also takes the common keys.  A
+# config is valid when its keys are one form's required keys plus any of
+# that form's optional and common keys.
+_COMMON = ("cutoff", "boundary", "preserve_weak_bonds", "seed", "out")
+
+
+def _form(required: str, optional: str = ""):
+    return tuple(required.split()), tuple(optional.split())
+
+
+_FORMS = {
+    "floquet-czz": [_form("J g h T_max chi", "eps reuse_im")],
+    "hamiltonian-impurity": [_form("J g h eps t_max alpha beta chi", "reuse_im")],
+    "quench": [_form("J g h eps t_max chi", "reuse_im")],
+    "dtc": [_form("eps_kick h T_max chi", "J reuse_im")],
+    "entropy-scan": [_form("T_list eps_kick h chi", "J"),
+                     _form("T_list J g h chi"),
+                     _form("eps_list t J g h chi")],
 }
+EXPERIMENTS = tuple(_FORMS)
 
 
 @dataclass
@@ -135,25 +146,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     exp = raw["experiment"]
     if exp not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp!r}")
-    for need in _REQUIRED[exp]:
-        if need not in raw:
-            raise ConfigError(f"experiment {exp!r} requires key {need!r}")
-    if exp in ("dtc", "entropy-scan") and "eps" in raw:
-        raise ConfigError(f"experiment {exp!r} does not read 'eps'")
-    for key in ("t", "eps_list", "T_list"):
-        if exp != "entropy-scan" and key in raw:
-            raise ConfigError(f"experiment {exp!r} does not read {key!r}")
-    if exp == "entropy-scan":
-        if ("eps_list" in raw) == ("T_list" in raw):
-            raise ConfigError("entropy-scan needs exactly one of eps_list, T_list")
-        if "eps_list" in raw and "t" not in raw:
-            raise ConfigError("entropy-scan over eps_list needs fixed t")
-        if "eps_list" in raw and not all(k in raw for k in ("J", "g", "h")):
-            raise ConfigError("entropy-scan over eps_list needs J, g, h")
-        if "T_list" in raw and not ("h" in raw and (
-                "eps_kick" in raw or all(k in raw for k in ("J", "g")))):
-            raise ConfigError("entropy-scan over T_list needs h and either "
-                              "eps_kick or J, g")
+    _check_keys(exp, raw)
     _check_ranges(exp, raw)
     if exp != "entropy-scan" and "boundary" in raw and not raw.get("reuse_im"):
         raise ConfigError(f"experiment {exp!r} reads 'boundary' only with "
@@ -163,6 +156,23 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("preserve_weak_bonds = true means cutoff = 0; "
                           f"it contradicts cutoff = {raw['cutoff']}")
     return ExperimentConfig(exp, raw)
+
+
+def _check_keys(exp: str, raw: Dict[str, object]) -> None:
+    """Reject keys that are no form of ``exp``.  A config is checked
+    against its nearest form, the one missing the fewest required keys,
+    then the one with the most; the first key missing or not read is
+    named.  No form takes all of another's required keys, so a valid
+    config's nearest form is its own."""
+    keys = [k for k in raw if k != "experiment"]
+    req, opt = min(_FORMS[exp], key=lambda form: (
+        len(set(form[0]) - set(keys)), -len(form[0])))
+    for k in req:
+        if k not in raw:
+            raise ConfigError(f"experiment {exp!r} requires key {k!r}")
+    for k in keys:
+        if k not in req + opt + _COMMON:
+            raise ConfigError(f"experiment {exp!r} does not read {k!r}")
 
 
 def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
@@ -252,28 +262,18 @@ def write_series_csv(path: str, series, chi: int, eps: float, boundary: str,
 
 # ---------------------------------------------------------------- experiments
 
-def _spec_for(cfg: ExperimentConfig) -> ModelSpec:
-    exp = cfg.experiment
-    if exp == "floquet-czz":
-        return ModelSpec(J=cfg.J, g=cfg.g, h=cfg.h, T=cfg.T_max,
-                         eps=cfg.get("eps", 0.0))
-    if exp == "hamiltonian-impurity":
+def _spec_for(cfg: ExperimentConfig, T: Optional[int] = None) -> ModelSpec:
+    """The model of a z series other than the quench, or of a ``T_list``
+    scan at horizon ``T``: the disorder-averaged kicked chain where the
+    config sets ``eps_kick``, else the Floquet chain."""
+    if cfg.experiment == "hamiltonian-impurity":
         return trotterize(cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps,
                           impurity=Impurity(alpha=cfg.alpha, beta=cfg.beta))
-    if exp == "dtc":
-        return ModelSpec(J=cfg.get("J", 1.0), g=math.pi / 2 - cfg.eps_kick,
-                         h=cfg.h, T=cfg.T_max, disorder="uniform_J_0_2pi")
-    raise ConfigError(f"no single spec for experiment {cfg.experiment!r}")
-
-
-def _entropy_specs(cfg: ExperimentConfig) -> List[ModelSpec]:
-    if "eps_list" in cfg.raw:
-        return [trotterize(cfg.J, cfg.g, cfg.h, cfg.t, e) for e in cfg.eps_list]
+    T = cfg.T_max if T is None else T
     if "eps_kick" in cfg.raw:
-        return [ModelSpec(J=cfg.get("J", 1.0), g=math.pi / 2 - cfg.eps_kick,
-                          h=cfg.h, T=T, disorder="uniform_J_0_2pi")
-                for T in cfg.T_list]
-    return [ModelSpec(J=cfg.J, g=cfg.g, h=cfg.h, T=T) for T in cfg.T_list]
+        return ModelSpec(J=cfg.get("J", 1.0), g=math.pi / 2 - cfg.eps_kick,
+                         h=cfg.h, T=T, disorder="uniform_J_0_2pi")
+    return ModelSpec(J=cfg.J, g=cfg.g, h=cfg.h, T=T, eps=cfg.get("eps", 0.0))
 
 
 class SolveSummary:
@@ -326,7 +326,9 @@ def _series_jobs(cfg: ExperimentConfig):
     cutoff = cfg.get("cutoff", 0.0)
     reuse = cfg.get("reuse_im", False)
     if exp == "entropy-scan":
-        specs = _entropy_specs(cfg)
+        specs = ([trotterize(cfg.J, cfg.g, cfg.h, cfg.t, e) for e in cfg.eps_list]
+                 if "eps_list" in cfg.raw else
+                 [_spec_for(cfg, T) for T in cfg.T_list])
 
         def job(chi, b, im_sink):
             return observables.entropy_series(specs, [chi], cutoff, boundary=b,
@@ -384,7 +386,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
     workers = _thread_count(threads, len(jobs))
     series, summaries = _run_jobs(jobs, workers)
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
-    if cfg.experiment == "entropy-scan" and "eps_list" in cfg.raw:
+    if "eps_list" in cfg.raw:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
     solves: Dict[str, dict] = {}
@@ -495,7 +497,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None,
                        help="output directory (default: the config's out, else .)")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--threads", type=int, default=None,
                        help="CSVs computed at once (default: the "
                             "usable cores; at most the CSVs)")
@@ -511,7 +512,7 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
             return EXIT_UNSTABLE if oracle_check() else 0
         cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
-        seed = args.seed if args.seed is not None else cfg.get("seed")
+        seed = cfg.get("seed")
         t0 = time.monotonic()
         files, workers, solves = run_experiment(cfg, out_dir, seed, args.threads)
         write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,

@@ -237,15 +237,13 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
 def _final_entropies(im: InfluenceMatrix):
     d = im.diagnostics
-    if d.get("entropy_halfcut"):
-        return d["entropy_halfcut"][-1], d["entropy_max"][-1]
-    return 0.0, 0.0
+    return d["entropy_halfcut"][-1], d["entropy_max"][-1]
 
 
 def _im_rows(im: InfluenceMatrix, n: int) -> Dict[str, list]:
     """``n`` extras rows, each describing ``im``."""
     half, smax = _final_entropies(im)
-    dw = math.fsum(im.diagnostics.get("discarded_weight", [0.0]))
+    dw = math.fsum(im.diagnostics["discarded_weight"])
     return {"entropy_halfcut": [half] * n, "entropy_max": [smax] * n,
             "discarded_weight": [dw] * n, "chi": [im.psi.max_bond()] * n}
 

@@ -1,3 +1,5 @@
+import glob
+import itertools
 import json
 import math
 import os
@@ -158,10 +160,12 @@ BAD_CONFIGS = [
     (TINY_SCAN + "T_list = 2,3\neps = 0.25\n",
      "experiment 'entropy-scan' does not read 'eps'"),
     ("experiment = entropy-scan\nchi = 4\nT_list = 2\neps_kick = 0.1\n",
-     "needs h and either eps_kick or J, g"),
+     "experiment 'entropy-scan' requires key 'h'"),
     # the time grids belong to the entropy scan
     (TINY_FLOQUET + "eps_list = 0.1\n", "experiment 'floquet-czz' does not read 'eps_list'"),
     (TINY_QUENCH + "t = 0.4\n", "experiment 'quench' does not read 't'"),
+    # the kicked model's key on the Floquet chain: once echoed into the eps column
+    (TINY_FLOQUET + "eps_kick = 0.3\n", "experiment 'floquet-czz' does not read 'eps_kick'"),
 ]
 
 
@@ -177,6 +181,73 @@ def test_run_config_error_exit_code(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+# a valid value of every key, for configs built from the parser's table
+_VALID = {"J": "0.8", "g": "0.7", "h": "0.6", "eps": "0.2", "eps_kick": "0.1",
+          "alpha": "0.5", "beta": "0.8", "T_max": "2", "t_max": "0.4",
+          "t": "0.4", "chi": "4", "eps_list": "0.2", "T_list": "2",
+          "cutoff": "0", "boundary": "open", "preserve_weak_bonds": "true",
+          "reuse_im": "true", "seed": "1", "out": "elsewhere"}
+_UNREAD = [(exp, req, key)
+           for exp, forms in cli._FORMS.items() for req, opt in forms
+           for key in sorted(set(_VALID) - set(req + opt + cli._COMMON))]
+
+
+def test_the_forms_read_every_key_and_never_overlap():
+    """Every key is read by some form, and a config of one form never holds
+    another form's required keys, so its nearest form is its own."""
+    read = {k for forms in cli._FORMS.values() for req, opt in forms
+            for k in req + opt + cli._COMMON}
+    assert read == set(_VALID) == set(cli._KEYS) - {"experiment"}
+    for forms in cli._FORMS.values():
+        for (req, opt), (other, _) in itertools.permutations(forms, 2):
+            assert not set(other) <= set(req + opt + cli._COMMON)
+
+
+@pytest.mark.parametrize("exp,required,key", _UNREAD,
+                         ids=[f"{e}[{','.join(r[:2])}]-{k}" for e, r, k in _UNREAD])
+def test_a_key_the_form_does_not_read_is_a_config_error(exp, required, key):
+    """A form's required keys parse; any key the form neither requires nor
+    takes is rejected by name."""
+    text = f"experiment = {exp}\n" + "".join(f"{k} = {_VALID[k]}\n" for k in required)
+    assert parse_config_text(text).experiment == exp
+    with pytest.raises(ConfigError, match=f"experiment '{exp}' does not read '{key}'"):
+        parse_config_text(text + f"{key} = {_VALID[key]}\n")
+
+
+_REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+_SHIPPED = sorted(glob.glob(os.path.join(_REPO, "configs", "*.cfg"))
+                  + glob.glob(os.path.join(_REPO, "tests", "golden", "*.cfg"))
+                  + glob.glob(os.path.join(_REPO, "imbench", "workloads", "*.cfg")))
+
+
+@pytest.mark.parametrize("path", _SHIPPED,
+                         ids=[os.path.relpath(p, _REPO) for p in _SHIPPED])
+def test_shipped_configs_parse(path):
+    """Every config the repo ships parses; a workload config as the
+    benchmark harness writes it, with its seed appended."""
+    with open(path) as f:
+        text = f.read()
+    if os.path.basename(os.path.dirname(path)) == "workloads":
+        text += "seed = 1\n"
+    assert parse_config_text(text).experiment in cli.EXPERIMENTS
+
+
+def test_readme_experiment_table_is_the_parsers():
+    """README's table of the keys each experiment reads is ``cli._FORMS``:
+    the same experiments, forms, required keys and optional keys."""
+    with open(os.path.join(_REPO, "README.md")) as f:
+        text = f.read()
+    rows = text.split("Experiments and the keys they read")[1].split("\n\n")[1]
+    table: dict = {}
+    for row in rows.splitlines()[2:]:  # after the header and its rule
+        exp, req, opt = (cell.strip() for cell in row.strip("|").split("|"))
+        table.setdefault(exp, []).append(
+            ({k.strip() for k in req.split(",")},
+             {k.strip() for k in opt.split(",") if k.strip()}))
+    assert table == {exp: [(set(req), set(opt)) for req, opt in forms]
+                     for exp, forms in cli._FORMS.items()}
+
+
 def test_dtc_runs_without_a_seed(tmp_path):
     """The exact disorder average draws nothing; without a seed the seed
     column reads nan, as for every other experiment."""
@@ -189,22 +260,14 @@ def test_dtc_runs_without_a_seed(tmp_path):
     assert json.loads((out / "run_manifest.json").read_text())["seed"] is None
 
 
-def test_seed_flag_overrides_config(tmp_path):
-    cfgp = tmp_path / "d.cfg"
-    cfgp.write_text("experiment = dtc\neps_kick = 0.1\nh = 0.3\n"
-                    "T_max = 2\nchi = 8\nseed = 5\n")
-    out = tmp_path / "o"
-    assert cli.main(["run", str(cfgp), "--out", str(out), "--seed", "9"]) == 0
-    rows = (out / "dtc_chi8.csv").read_text().splitlines()[1:]
-    assert all(r.split(",")[9] == "9" for r in rows)
-
-
 @pytest.mark.parametrize("argv", [["entropy", "e.cfg"],
-                                  ["oracle-check", "--tmax", "5"]],
-                         ids=["entropy", "oracle_check_tmax"])
+                                  ["oracle-check", "--tmax", "5"],
+                                  ["run", "e.cfg", "--seed", "9"]],
+                         ids=["entropy", "oracle_check_tmax", "run_seed"])
 def test_removed_routes_are_usage_errors(tmp_path, capsys, argv):
-    """``run`` is the one route for entropy-scan configs, and the oracle
-    battery has no size flag: both old forms are argparse errors."""
+    """``run`` is the one route for entropy-scan configs, the oracle
+    battery has no size flag, and the seed is set in the config only: the
+    old forms are argparse errors."""
     cfgp = tmp_path / "e.cfg"
     cfgp.write_text(TINY_SCAN + f"T_list = 2,3\nout = {tmp_path / 'eo'}\n")
     with pytest.raises(SystemExit) as exc:
@@ -446,10 +509,7 @@ def test_every_solve_gets_the_config_chi_and_cutoff(tmp_path, monkeypatch, name,
 
 
 def test_bundled_configs_parse():
-    here = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
-    for name in ("fig2.cfg", "fig3.cfg", "fig4.cfg", "fig5.cfg"):
-        cfg = load_config(os.path.join(here, name))
-        assert cfg.experiment in cli.EXPERIMENTS
+    here = os.path.join(_REPO, "configs")
     fig2 = load_config(os.path.join(here, "fig2.cfg"))
     assert fig2.raw["J"] == 0.8 and fig2.raw["chi"] == [32, 64, 128]
     assert set(fig2.raw["boundary"]) == {"open", "perfect_dephaser"}

@@ -1,7 +1,7 @@
 """Bad input fails with a typed error, never with a stray exception.
 
 ``parse_config_text`` may only return a config or raise ``ConfigError``.
-``cli.main`` on a generated config file may only exit 0, 2, 3 or 4: on 0
+``cli.main`` on a generated config file may only exit 0, 2 or 3: on 0
 the manifest and every CSV it lists exist, on any other code no manifest
 is written.  An SVD that cannot be done exits 3 as well.
 """
@@ -56,27 +56,24 @@ _SMALL = {
 _BAD = ("", "-1", "0", "nan", "1e400", "x", "1,1", "0.3333")
 
 
-# the keys a run reads besides its required ones: an entropy scan reads
-# one of three sets, the other experiments read a few optional keys
-_FORMS = {"floquet-czz": [("eps",)], "dtc": [("J",)],
-          "hamiltonian-impurity": [()], "quench": [()], "oracle-check": [()],
-          "entropy-scan": [("T_list", "eps_kick", "h"), ("T_list", "J", "g", "h"),
-                           ("eps_list", "t", "J", "g", "h")]}
-_COMMON = ("boundary", "cutoff", "out", "preserve_weak_bonds", "reuse_im", "seed")
-_ONE_IN = {n: st.sampled_from([False] * (n - 1) + [True]) for n in (2, 10, 20)}
+# the keys each run reads, from cli's table: one form's required keys, and
+# its optional and the common ones; the battery is no experiment
+_FORMS = dict(cli._FORMS, **{"oracle-check": [((), ())]})
+_ONE_IN = {n: st.sampled_from([False] * (n - 1) + [True]) for n in (2, 20, 50)}
 
 
 @st.composite
 def _config_files(draw):
-    """Mostly runnable configs: each key the run reads is left out one time
-    in twenty, an optional one half the time, any other key is put in one
-    time in ten, and a value is bad one time in twenty."""
+    """Mostly runnable configs: each required key of one form is left out
+    one time in twenty, an optional or common one half the time, any other
+    key is put in one time in fifty, and a value is bad one time in
+    twenty."""
     exp = draw(st.sampled_from(EXPERIMENTS + ("oracle-check",)))
-    reads = cli._REQUIRED.get(exp, ()) + draw(st.sampled_from(_FORMS[exp]))
+    required, optional = draw(st.sampled_from(_FORMS[exp]))
     lines = [f"experiment = {exp}"]
     for key in sorted(_SMALL):
-        odds = 20 if key in reads else 2 if key in _COMMON else 10
-        if draw(_ONE_IN[odds]) == (key in reads):  # the rare case
+        odds = 20 if key in required else 2 if key in optional + cli._COMMON else 50
+        if draw(_ONE_IN[odds]) == (key in required):  # the rare case
             continue
         bad = draw(_ONE_IN[20])
         lines.append(f"{key} = {draw(st.sampled_from(_BAD if bad else _SMALL[key]))}")
