@@ -21,7 +21,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
@@ -49,14 +48,34 @@ class ConfigError(ValueError):
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
+def _bool(text: str) -> bool:
+    return _BOOL[text.lower()]
+
+
+def _list_of(parse):
+    """A comma list, each non-empty item read by ``parse``."""
+    return lambda text: [parse(x.strip()) for x in text.split(",") if x.strip()]
+
+
+# Each key's parser: it returns the value or raises ValueError or KeyError.
 _KEYS = {
     "experiment": str,
-    "J": float, "g": float, "h": float, "eps": float, "eps_kick": float,
-    "alpha": float, "beta": float,
-    "T_max": int, "t_max": float, "t": float,
-    "chi": "int_list", "eps_list": "float_list", "T_list": "int_list",
-    "cutoff": float, "boundary": "str_list",
-    "preserve_weak_bonds": "bool", "reuse_im": "bool",
+    "J": _finite_float, "g": _finite_float, "h": _finite_float,
+    "eps": _finite_float, "eps_kick": _finite_float,
+    "alpha": _finite_float, "beta": _finite_float,
+    "T_max": int, "t_max": _finite_float, "t": _finite_float,
+    "chi": _list_of(int), "eps_list": _list_of(_finite_float),
+    "T_list": _list_of(int),
+    "cutoff": _finite_float, "boundary": _list_of(str),
+    "preserve_weak_bonds": _bool, "reuse_im": _bool,
     "seed": int, "out": str,
 }
 
@@ -75,58 +94,16 @@ _FORMS = {
     "floquet-czz": [_form("J g h T_max chi", "eps reuse_im")],
     "hamiltonian-impurity": [_form("J g h eps t_max alpha beta chi", "reuse_im")],
     "quench": [_form("J g h eps t_max chi", "reuse_im")],
-    "dtc": [_form("eps_kick h T_max chi", "J reuse_im")],
-    "entropy-scan": [_form("T_list eps_kick h chi", "J"),
+    "dtc": [_form("eps_kick h T_max chi", "reuse_im")],
+    "entropy-scan": [_form("T_list eps_kick h chi"),
                      _form("T_list J g h chi"),
                      _form("eps_list t J g h chi")],
 }
 EXPERIMENTS = tuple(_FORMS)
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    raw: Dict[str, object] = field(default_factory=dict)
-
-    def __getattr__(self, name):
-        try:
-            return self.raw[name]
-        except KeyError:
-            raise AttributeError(name)
-
-    def get(self, name, default=None):
-        return self.raw.get(name, default)
-
-
-def _finite(x: float) -> float:
-    if not math.isfinite(x):
-        raise ValueError(f"{x} is not finite")
-    return x
-
-
-def _parse_value(key: str, text: str):
-    kind = _KEYS[key]
-    try:
-        if kind is str:
-            return text
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return _finite(float(text))
-        if kind == "bool":
-            return _BOOL[text.lower()]
-        if kind == "int_list":
-            return [int(x) for x in text.split(",") if x.strip()]
-        if kind == "float_list":
-            return [_finite(float(x)) for x in text.split(",") if x.strip()]
-        if kind == "str_list":
-            return [x.strip() for x in text.split(",") if x.strip()]
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {text!r}") from exc
-    raise ConfigError(f"unhandled key kind for {key!r}")
-
-
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str) -> Dict[str, object]:
+    """The config as a dict of each key's parsed value."""
     raw: Dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -140,7 +117,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = _parse_value(key, val)
+        try:
+            raw[key] = _KEYS[key](val)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     exp = raw["experiment"]
@@ -155,7 +135,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if raw.get("preserve_weak_bonds") and raw.get("cutoff", 0.0) != 0.0:
         raise ConfigError("preserve_weak_bonds = true means cutoff = 0; "
                           f"it contradicts cutoff = {raw['cutoff']}")
-    return ExperimentConfig(exp, raw)
+    return raw
 
 
 def _check_keys(exp: str, raw: Dict[str, object]) -> None:
@@ -210,7 +190,7 @@ def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
             raise ConfigError(f"{name}/eps: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str) -> Dict[str, object]:
     try:
         with open(path, "r") as f:
             text = f.read()
@@ -262,18 +242,20 @@ def write_series_csv(path: str, series, chi: int, eps: float, boundary: str,
 
 # ---------------------------------------------------------------- experiments
 
-def _spec_for(cfg: ExperimentConfig, T: Optional[int] = None) -> ModelSpec:
+def _spec_for(cfg: Dict[str, object], T: Optional[int] = None) -> ModelSpec:
     """The model of a z series other than the quench, or of a ``T_list``
     scan at horizon ``T``: the disorder-averaged kicked chain where the
-    config sets ``eps_kick``, else the Floquet chain."""
-    if cfg.experiment == "hamiltonian-impurity":
-        return trotterize(cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps,
-                          impurity=Impurity(alpha=cfg.alpha, beta=cfg.beta))
-    T = cfg.T_max if T is None else T
-    if "eps_kick" in cfg.raw:
-        return ModelSpec(J=cfg.get("J", 1.0), g=math.pi / 2 - cfg.eps_kick,
-                         h=cfg.h, T=T, disorder="uniform_J_0_2pi")
-    return ModelSpec(J=cfg.J, g=cfg.g, h=cfg.h, T=T, eps=cfg.get("eps", 0.0))
+    config sets ``eps_kick``, else the Floquet chain.  The exact disorder
+    average reads no coupling, so that model takes J = 1."""
+    if cfg["experiment"] == "hamiltonian-impurity":
+        return trotterize(cfg["J"], cfg["g"], cfg["h"], cfg["t_max"], cfg["eps"],
+                          impurity=Impurity(alpha=cfg["alpha"], beta=cfg["beta"]))
+    T = cfg["T_max"] if T is None else T
+    if "eps_kick" in cfg:
+        return ModelSpec(J=1.0, g=math.pi / 2 - cfg["eps_kick"], h=cfg["h"],
+                         T=T, disorder="uniform_J_0_2pi")
+    return ModelSpec(J=cfg["J"], g=cfg["g"], h=cfg["h"], T=T,
+                     eps=cfg.get("eps", 0.0))
 
 
 class SolveSummary:
@@ -316,19 +298,19 @@ class SolveSummary:
                 "discarded_weight": math.fsum(self._weights)}
 
 
-def _series_jobs(cfg: ExperimentConfig):
+def _series_jobs(cfg: Dict[str, object]):
     """((chi, boundary), job) pairs, one per output CSV, largest chi first.
     ``job(im_sink)`` computes the CSV's series through the library
     ``*_series`` function, looked up on ``observables`` when it runs."""
     from . import observables
 
-    exp = cfg.experiment
+    exp = cfg["experiment"]
     cutoff = cfg.get("cutoff", 0.0)
     reuse = cfg.get("reuse_im", False)
     if exp == "entropy-scan":
-        specs = ([trotterize(cfg.J, cfg.g, cfg.h, cfg.t, e) for e in cfg.eps_list]
-                 if "eps_list" in cfg.raw else
-                 [_spec_for(cfg, T) for T in cfg.T_list])
+        specs = ([trotterize(cfg["J"], cfg["g"], cfg["h"], cfg["t"], e)
+                  for e in cfg["eps_list"]] if "eps_list" in cfg else
+                 [_spec_for(cfg, T) for T in cfg["T_list"]])
 
         def job(chi, b, im_sink):
             return observables.entropy_series(specs, [chi], cutoff, boundary=b,
@@ -336,7 +318,7 @@ def _series_jobs(cfg: ExperimentConfig):
     elif exp == "quench":
         def job(chi, b, im_sink):
             return observables.quench_magnetization_series(
-                cfg.J, cfg.g, cfg.h, cfg.t_max, cfg.eps, chi, cutoff,
+                cfg["J"], cfg["g"], cfg["h"], cfg["t_max"], cfg["eps"], chi, cutoff,
                 boundary=b, reuse_im=reuse, im_sink=im_sink)
     else:
         spec = _spec_for(cfg)
@@ -345,7 +327,7 @@ def _series_jobs(cfg: ExperimentConfig):
             return observables.autocorrelator_series(
                 spec, chi, cutoff, boundary=b, reuse_im=reuse,
                 im_sink=im_sink)
-    return [((chi, b), partial(job, chi, b)) for chi in sorted(cfg.chi, reverse=True)
+    return [((chi, b), partial(job, chi, b)) for chi in sorted(cfg["chi"], reverse=True)
             for b in cfg.get("boundary", ["open"])]
 
 
@@ -372,7 +354,7 @@ def _run_jobs(jobs, workers: int):
     return [fut.result() for fut in futs], summaries
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
+def run_experiment(cfg: Dict[str, object], out_dir: str,
                    threads: Optional[int] = None
                    ) -> Tuple[List[str], int, Dict[str, dict]]:
     """Write the config's CSVs; returns their paths, the workers used and
@@ -386,29 +368,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, seed: Optional[int],
     workers = _thread_count(threads, len(jobs))
     series, summaries = _run_jobs(jobs, workers)
     eps = cfg.get("eps", cfg.get("eps_kick", 0.0))
-    if "eps_list" in cfg.raw:
+    if "eps_list" in cfg:
         eps = float("nan")  # per-row eps is the abscissa, no single value
     written = []
     solves: Dict[str, dict] = {}
     for ((chi, boundary), _), ser, summary in zip(jobs, series, summaries):
         suffix = f"_chi{chi}" + ("" if boundary == "open" else f"_{boundary}")
-        path = os.path.join(out_dir, f"{cfg.experiment}{suffix}.csv")
-        write_series_csv(path, ser, chi, eps, boundary, seed)
+        path = os.path.join(out_dir, f"{cfg['experiment']}{suffix}.csv")
+        write_series_csv(path, ser, chi, eps, boundary, cfg.get("seed"))
         written.append(path)
         solves[os.path.basename(path)] = summary.as_dict()
     return written, workers, solves
 
 
-def write_manifest(out_dir: str, cfg: ExperimentConfig, seed: Optional[int],
-                   wall: float, files: Sequence[str],
-                   threads: Dict[str, Optional[int]],
+def write_manifest(out_dir: str, cfg: Dict[str, object], wall: float,
+                   files: Sequence[str], threads: Dict[str, Optional[int]],
                    solves: Dict[str, dict]) -> str:
     """``threads`` is the layout, ``{"jobs": workers, "blas": 1 or None}``;
     ``solves`` maps each CSV's file name to its solve summary."""
     path = os.path.join(out_dir, "run_manifest.json")
-    doc = {"config": cfg.raw, "engine_version": __version__,
-           "experiment": cfg.experiment, "files": [os.path.basename(f) for f in files],
-           "seed": seed, "solves": solves, "threads": threads,
+    doc = {"config": cfg, "engine_version": __version__,
+           "experiment": cfg["experiment"],
+           "files": [os.path.basename(f) for f in files],
+           "seed": cfg.get("seed"), "solves": solves, "threads": threads,
            "wall_time_s": wall}
     with _atomic_write(path) as f:
         json.dump(doc, f, indent=2, sort_keys=True, default=str)
@@ -483,10 +465,10 @@ def _usable_cores() -> int:
 
 def _thread_count(arg: Optional[int], n_jobs: int) -> int:
     """Workers: ``--threads``, else the usable cores; never more than the
-    jobs (one per CSV), never fewer than one."""
+    jobs (one per CSV)."""
     if arg is None:
         arg = _usable_cores()
-    return max(1, min(arg, n_jobs))
+    return min(arg, n_jobs)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -498,10 +480,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_run.add_argument("--out", default=None,
                        help="output directory (default: the config's out, else .)")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="CSVs computed at once (default: the "
-                            "usable cores; at most the CSVs)")
+                       help="CSVs computed at once, at least 1 (default: "
+                            "the usable cores; at most the CSVs)")
     sub.add_parser("oracle-check", help="dense-vs-MPS cross checks")
     args = parser.parse_args(argv)
+    if args.command == "run" and args.threads is not None and args.threads < 1:
+        p_run.error(f"--threads must be >= 1, got {args.threads}")
     with one_blas_thread() as blas:
         return _dispatch(args, blas)
 
@@ -512,10 +496,9 @@ def _dispatch(args: argparse.Namespace, blas: Optional[int]) -> int:
             return EXIT_UNSTABLE if oracle_check() else 0
         cfg = load_config(args.config)
         out_dir = args.out if args.out is not None else cfg.get("out", ".")
-        seed = cfg.get("seed")
         t0 = time.monotonic()
-        files, workers, solves = run_experiment(cfg, out_dir, seed, args.threads)
-        write_manifest(out_dir, cfg, seed, time.monotonic() - t0, files,
+        files, workers, solves = run_experiment(cfg, out_dir, args.threads)
+        write_manifest(out_dir, cfg, time.monotonic() - t0, files,
                        {"jobs": workers, "blas": blas}, solves)
         return 0
     except ConfigError as exc:

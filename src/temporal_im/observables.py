@@ -245,7 +245,7 @@ def _im_rows(im: InfluenceMatrix, n: int) -> Dict[str, list]:
     half, smax = _final_entropies(im)
     dw = math.fsum(im.diagnostics["discarded_weight"])
     return {"entropy_halfcut": [half] * n, "entropy_max": [smax] * n,
-            "discarded_weight": [dw] * n, "chi": [im.psi.max_bond()] * n}
+            "discarded_weight": [dw] * n}
 
 
 def _site_im(im: InfluenceMatrix, chi_max: int, cutoff: float,
@@ -281,7 +281,7 @@ def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
     nan = float("nan")
     values = [complex(1.0)]
     extras = {"entropy_halfcut": [nan], "entropy_max": [nan],
-              "discarded_weight": [nan], "chi": [0]}
+              "discarded_weight": [nan]}
 
     def add(vals, im):
         values.extend(vals)
@@ -348,8 +348,7 @@ def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
     chis = sorted(chi_list)
     values: List[complex] = []
     extras: Dict[str, list] = {"entropy_halfcut": [], "entropy_max": [],
-                               "discarded_weight": [], "chi": [],
-                               "chi_converged": []}
+                               "discarded_weight": [], "chi_converged": []}
     by_chi: Dict[int, list] = {c: [] for c in chis}
     for spec in specs:
         halves = []

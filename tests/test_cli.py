@@ -32,9 +32,9 @@ cutoff = 1e-12
 
 def test_parse_config_basics():
     cfg = parse_config_text(TINY_QUENCH)
-    assert cfg.experiment == "quench"
-    assert cfg.chi == [8, 4]
-    assert cfg.t_max == 0.6
+    assert cfg["experiment"] == "quench"
+    assert cfg["chi"] == [8, 4]
+    assert cfg["t_max"] == 0.6
     assert cfg.get("seed") is None
 
 
@@ -79,7 +79,7 @@ def test_failed_manifest_write_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.json, "dump", broken_dump)
     cfg = parse_config_text(TINY_QUENCH)
     with pytest.raises(RuntimeError, match="disk gone"):
-        cli.write_manifest(str(tmp_path), cfg, None, 0.0, [], {}, {})
+        cli.write_manifest(str(tmp_path), cfg, 0.0, [], {}, {})
     assert os.listdir(tmp_path) == []
 
 
@@ -164,6 +164,9 @@ BAD_CONFIGS = [
     # the time grids belong to the entropy scan
     (TINY_FLOQUET + "eps_list = 0.1\n", "experiment 'floquet-czz' does not read 'eps_list'"),
     (TINY_QUENCH + "t = 0.4\n", "experiment 'quench' does not read 't'"),
+    # the exact disorder average reads no coupling
+    ("experiment = dtc\neps_kick = 0.1\nh = 0.3\nT_max = 2\nchi = 8\nJ = 0.3\n",
+     "experiment 'dtc' does not read 'J'"),
     # the kicked model's key on the Floquet chain: once echoed into the eps column
     (TINY_FLOQUET + "eps_kick = 0.3\n", "experiment 'floquet-czz' does not read 'eps_kick'"),
 ]
@@ -209,9 +212,39 @@ def test_a_key_the_form_does_not_read_is_a_config_error(exp, required, key):
     """A form's required keys parse; any key the form neither requires nor
     takes is rejected by name."""
     text = f"experiment = {exp}\n" + "".join(f"{k} = {_VALID[k]}\n" for k in required)
-    assert parse_config_text(text).experiment == exp
+    assert parse_config_text(text)["experiment"] == exp
     with pytest.raises(ConfigError, match=f"experiment '{exp}' does not read '{key}'"):
         parse_config_text(text + f"{key} = {_VALID[key]}\n")
+
+
+# the float model keys, each with a second valid value (t_max = 0.4 is 2
+# steps of eps = 0.2, 1 of 0.4); h moves the kicked chain's bytes from T = 3
+_MOVED = {"J": "0.3", "g": "0.4", "h": "0.2", "eps": "0.4", "eps_kick": "0.3",
+          "alpha": "0.3", "beta": "0.4"}
+_HORIZON = {"T_max": "3", "T_list": "3", "chi": "8"}
+_READ = [(exp, req, key)
+         for exp, forms in cli._FORMS.items() for req, opt in forms
+         for key in sorted(set(_MOVED) & set(req + opt))]
+
+
+@pytest.mark.parametrize("exp,required,key", _READ,
+                         ids=[f"{e}[{','.join(r[:2])}]-{k}" for e, r, k in _READ])
+def test_every_model_key_a_form_reads_moves_a_byte(tmp_path, exp, required, key):
+    """A model key a form reads changes its CSVs: a required key set to
+    another value, an optional one added.  A key that moves no byte does
+    nothing, and the form must not take it."""
+    values = {k: _HORIZON.get(k, _VALID[k]) for k in required}
+    moved = dict(values, **{key: _MOVED[key] if key in values else _VALID[key]})
+    csvs = []
+    for name, vals in (("base", values), ("moved", moved)):
+        cfgp = tmp_path / f"{name}.cfg"
+        cfgp.write_text(f"experiment = {exp}\n"
+                        + "".join(f"{k} = {v}\n" for k, v in vals.items()))
+        assert cli.main(["run", str(cfgp), "--out", str(tmp_path / name),
+                         "--threads", "1"]) == 0
+        csvs.append({p.name: p.read_bytes() for p in (tmp_path / name).glob("*.csv")})
+    assert csvs[0].keys() == csvs[1].keys()
+    assert csvs[0] != csvs[1]
 
 
 _REPO = os.path.join(os.path.dirname(__file__), os.pardir)
@@ -229,7 +262,7 @@ def test_shipped_configs_parse(path):
         text = f.read()
     if os.path.basename(os.path.dirname(path)) == "workloads":
         text += "seed = 1\n"
-    assert parse_config_text(text).experiment in cli.EXPERIMENTS
+    assert parse_config_text(text)["experiment"] in cli.EXPERIMENTS
 
 
 def test_readme_experiment_table_is_the_parsers():
@@ -262,12 +295,15 @@ def test_dtc_runs_without_a_seed(tmp_path):
 
 @pytest.mark.parametrize("argv", [["entropy", "e.cfg"],
                                   ["oracle-check", "--tmax", "5"],
-                                  ["run", "e.cfg", "--seed", "9"]],
-                         ids=["entropy", "oracle_check_tmax", "run_seed"])
+                                  ["run", "e.cfg", "--seed", "9"],
+                                  ["run", "e.cfg", "--threads", "0"],
+                                  ["run", "e.cfg", "--threads", "-3"]],
+                         ids=["entropy", "oracle_check_tmax", "run_seed",
+                              "threads0", "threads_negative"])
 def test_removed_routes_are_usage_errors(tmp_path, capsys, argv):
     """``run`` is the one route for entropy-scan configs, the oracle
-    battery has no size flag, and the seed is set in the config only: the
-    old forms are argparse errors."""
+    battery has no size flag, the seed is set in the config only, and a
+    run takes at least one worker: the old forms are argparse errors."""
     cfgp = tmp_path / "e.cfg"
     cfgp.write_text(TINY_SCAN + f"T_list = 2,3\nout = {tmp_path / 'eo'}\n")
     with pytest.raises(SystemExit) as exc:
@@ -454,7 +490,7 @@ def test_boundary_on_a_fresh_series_is_a_config_error(tmp_path, capsys):
         assert not out.exists()
     for text in (TINY_QUENCH + "boundary = open\nreuse_im = true\n",
                  TINY_SCAN + "T_list = 2\nboundary = perfect_dephaser\n"):
-        assert isinstance(parse_config_text(text), cli.ExperimentConfig)
+        assert isinstance(parse_config_text(text), dict)
 
 
 SPY_CONFIGS = {
@@ -511,10 +547,10 @@ def test_every_solve_gets_the_config_chi_and_cutoff(tmp_path, monkeypatch, name,
 def test_bundled_configs_parse():
     here = os.path.join(_REPO, "configs")
     fig2 = load_config(os.path.join(here, "fig2.cfg"))
-    assert fig2.raw["J"] == 0.8 and fig2.raw["chi"] == [32, 64, 128]
-    assert set(fig2.raw["boundary"]) == {"open", "perfect_dephaser"}
+    assert fig2["J"] == 0.8 and fig2["chi"] == [32, 64, 128]
+    assert set(fig2["boundary"]) == {"open", "perfect_dephaser"}
     fig5 = load_config(os.path.join(here, "fig5.cfg"))
-    assert fig5.experiment == "dtc" and fig5.raw["chi"] == [32, 64]
+    assert fig5["experiment"] == "dtc" and fig5["chi"] == [32, 64]
 
 
 def test_quench_boundaries(tmp_path):
@@ -550,7 +586,6 @@ def test_thread_count_default(monkeypatch):
     assert cli._thread_count(None, 1) == 1
     assert cli._thread_count(None, 10 ** 6) == cores
     assert cli._thread_count(3, 2) == 2
-    assert cli._thread_count(0, 2) == 1
     # --threads is the one way to set the workers; the environment is not read
     monkeypatch.setenv("TEMPORAL_IM_THREADS", "1")
     assert cli._thread_count(None, 10 ** 6) == cores

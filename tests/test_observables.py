@@ -144,7 +144,7 @@ def test_quench_reuse_matches_fresh():
 def test_series_extras_columns():
     ser = autocorrelator_series(SPEC, chi_max=32, cutoff=1e-12)
     n = len(ser.abscissa)
-    for key in ("entropy_halfcut", "entropy_max", "discarded_weight", "chi"):
+    for key in ("entropy_halfcut", "entropy_max", "discarded_weight"):
         assert len(ser.extras[key]) == n
     assert math.isnan(ser.extras["entropy_halfcut"][0])
 
