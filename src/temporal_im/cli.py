@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -28,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .models import Impurity, ModelSpec, trotter_steps, trotterize
-from .influence import BOUNDARY_KINDS, NumericalInstabilityError
+from .influence import (BOUNDARY_KINDS, IMPURITY_MAP_FLOOR,
+                        NumericalInstabilityError, impurity_map_margin)
 from .tensor import one_blas_thread
 
 CSV_COLUMNS = ("abscissa", "value_re", "value_im", "entropy_halfcut",
@@ -157,7 +159,8 @@ def _check_keys(exp: str, raw: Dict[str, object]) -> None:
 
 def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
     """Reject empty or repeated lists, unknown boundary kinds, counts below
-    1, a negative step or cutoff and time grids that are not whole steps."""
+    1, a negative step or cutoff, time grids that are not whole steps and an
+    impurity step J*eps near a singular point of the impurity map."""
     for key in ("chi", "boundary", "T_list", "eps_list"):
         vals = raw.get(key)
         if vals is None:
@@ -188,6 +191,12 @@ def _check_ranges(exp: str, raw: Dict[str, object]) -> None:
             trotter_steps(t, eps)
         except ValueError as exc:
             raise ConfigError(f"{name}/eps: {exc}") from exc
+    if exp == "hamiltonian-impurity":
+        margin = impurity_map_margin(raw["J"] * raw["eps"])
+        if margin < IMPURITY_MAP_FLOOR:
+            raise ConfigError(f"J*eps = {raw['J'] * raw['eps']:.6g} is near a "
+                              "singular point of the impurity map: margin "
+                              f"{margin:.3g}, below {IMPURITY_MAP_FLOOR}")
 
 
 def load_config(path: str) -> Dict[str, object]:
@@ -408,9 +417,11 @@ def _check(name: str, got: float, tol: float, report: list) -> None:
 
 def oracle_check() -> int:
     """Dense-vs-MPS cross-check battery at T = 4 (T = 5 for the g = 0
-    closed form); 0 when everything agrees."""
+    closed form; the impurity series at T = 1..4); 0 when everything
+    agrees."""
     from .influence import build_disorder_slice, build_transfer_slice, solve_im
-    from .observables import autocorrelator_series, temporal_contract
+    from .observables import (Insertion, InsertionPlan, autocorrelator_series,
+                              temporal_contract)
     from .models import floquet_kernel
     from . import oracles
 
@@ -437,6 +448,23 @@ def oracle_check() -> int:
         reuse = autocorrelator_series(s, chi_max=4 ** s.T, reuse_im=True)
         _check(f"czz[{tag}] reuse vs fresh",
                float(np.max(np.abs(ser.values - reuse.values))), 1e-9, report)
+    # the impurity: a dense bulk fixed point under one dense slice whose
+    # facing bond is at beta J_eff, contracted on the impurity site
+    ispec = ModelSpec(J=0.8, g=0.45, h=0.3, T=4, eps=0.1,
+                      impurity=Impurity(0.5, 0.6))
+    ser = autocorrelator_series(ispec, chi_max=4 ** ispec.T)
+    dense_c = []
+    for T in range(1, ispec.T + 1):
+        s = dataclasses.replace(ispec, T=T)
+        w = (oracles.dense_transfer_slice(s, s.impurity.beta * s.J_eff)
+             @ oracles.dense_transfer_fixed_point(s).amplitudes)
+        plan = InsertionPlan([Insertion(0, "forward", "z"),
+                              Insertion(T, "forward", "z")])
+        dense_c.append(
+            oracles.dense_kernel_contract(w, w, s, plan, "impurity_site")
+            / oracles.dense_kernel_contract(w, w, s, None, "impurity_site"))
+    _check("czz[impurity] IM vs dense impurity slice",
+           float(np.max(np.abs(ser.values[1:] - dense_c))), 1e-10, report)
     dspec = ModelSpec(J=1.0, g=math.pi / 2 - 0.13, h=0.3, T=3,
                       disorder="uniform_J_0_2pi")
     davg = oracles.dense_disorder_slice(dspec)

@@ -202,7 +202,8 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
     Contracting a converged IM with an insertion at k followed by nothing
     but the trace equals the fresh length-k result, so a single solve
     serves the whole series.  Left and right environments of the
-    insertion-free network are built once; each k then costs one step.
+    insertion-free network are built once, the left ones as the scan reads
+    them; each k then costs one step.
     base_plan may only hold time-0 entries.
     """
     psi = im.psi
@@ -215,7 +216,6 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
     link_ins, F_ins = _link(kernel, z), _cap(kernel, z)
     A = psi.tensors
 
-    lefts = list(_left_sweep(psi, w0, dh, links))
     rights = [None] * (T + 1)
     rights[T] = F0.reshape(1, 1, 4)  # (a', b', p_{T-1}) with unit end bonds
     for t in range(T - 1, 0, -1):
@@ -226,10 +226,11 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
     log_scale = 2 * psi.norm_log
     out = np.empty(T, dtype=complex)
+    lefts = _left_sweep(psi, w0, dh, links)  # each read once, in order
     for k in range(1, T):
-        E = _env_step(lefts[k - 1], link_ins, dh, A[k])
+        E = _env_step(next(lefts), link_ins, dh, A[k])
         out[k - 1] = _scaled(complex(np.sum(E * rights[k + 1])), log_scale)
-    out[T - 1] = _scaled(complex(np.dot(lefts[T - 1][0, 0], F_ins)), log_scale)
+    out[T - 1] = _scaled(complex(np.dot(next(lefts)[0, 0], F_ins)), log_scale)
     return out
 
 

@@ -141,6 +141,8 @@ def test_run_rejects_bad_values(tmp_path, capsys, text):
 
 TINY_SCAN = "experiment = entropy-scan\nJ = 0.31\ng = 0.57\nh = 0.23\nchi = 8\n"
 
+_IMPURITY = ("experiment = hamiltonian-impurity\nJ = {J}\ng = 0.7\nh = 0.3\n"
+             "eps = 0.04\nt_max = 0.08\nalpha = 0.5\nbeta = 0.8\nchi = 8\n")
 BAD_CONFIGS = [
     ("experiment = quench\nJ = one\n", "bad value for 'J'"),
     (TINY_QUENCH + "boundary = open,reflecting\n", "unknown boundary kind 'reflecting'"),
@@ -169,6 +171,9 @@ BAD_CONFIGS = [
      "experiment 'dtc' does not read 'J'"),
     # the kicked model's key on the Floquet chain: once echoed into the eps column
     (TINY_FLOQUET + "eps_kick = 0.3\n", "experiment 'floquet-czz' does not read 'eps_kick'"),
+    # the impurity map divides by cos(J*eps) and, past pi/2, by sin(J*eps)
+    (_IMPURITY.format(J=39.0), "J*eps = 1.56 is near a singular point of the impurity map"),
+    (_IMPURITY.format(J=78.5), "J*eps = 3.14 is near a singular point of the impurity map"),
 ]
 
 
@@ -328,7 +333,8 @@ def test_out_directory_rule(tmp_path, monkeypatch):
 
 
 def test_oracle_check_subcommand(capsys, monkeypatch):
-    """One fixed battery: every check at T = 4, the g = 0 one at T = 5."""
+    """One fixed battery: every check at T = 4, the g = 0 one at T = 5, the
+    impurity series grown to T = 4 without a solve."""
     from temporal_im import influence
     real_solve = influence.solve_im
     sizes = []
@@ -340,7 +346,9 @@ def test_oracle_check_subcommand(capsys, monkeypatch):
     assert cli.main(["oracle-check"]) == 0
     assert sizes == [4, 4, 5]
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 13 and all(line.startswith("[PASS] ") for line in lines)
+    assert len(lines) == 14 and all(line.startswith("[PASS] ") for line in lines)
+    assert any(line.startswith("[PASS] czz[impurity] IM vs dense impurity slice:")
+               for line in lines)
     assert lines[-1].startswith("[PASS] g=0 IM vs closed form:")
 
 

@@ -1,23 +1,25 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from temporal_im import influence
-from temporal_im.models import Impurity, ModelSpec, floquet_kernel
+from temporal_im.models import Impurity, ModelSpec, floquet_kernel, trotterize
 from temporal_im.influence import (BOUNDARY_KINDS, BranchSymmetryError,
                                    InfluenceMatrix, NumericalInstabilityError,
                                    _BRANCH_SWAP, _charge_bond, _folded_bond,
-                                   _folded_mps, _log_norm, _normalize_trace,
-                                   _overlap_deficit, _real_basis, _real_mpo,
-                                   _real_mps, _real_slice, boundary_mps,
+                                   _folded_mps, _impurity_map, _log_norm,
+                                   _normalize_trace, _overlap_deficit,
+                                   _real_basis, _real_mpo, _real_mps,
+                                   _real_slice, boundary_mps,
                                    build_disorder_slice, build_transfer_slice,
                                    grow_ims, impurity_im, solve_im)
 from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
                              canonicalize, entropy_profile, mps_norm, overlap)
 from temporal_im import oracles
-from temporal_im.observables import temporal_contract
+from temporal_im.observables import autocorrelator_series, temporal_contract
 
 from helpers import im_bits
 
@@ -46,10 +48,17 @@ def test_slice_mpo_matches_brute_force(spec):
 
 
 def test_slice_scaled_bond():
-    beta = 0.6
-    got = build_transfer_slice(SPEC, bond_coupling=beta * SPEC.J_eff).dense()
-    want = oracles.dense_transfer_slice(SPEC, bond_coupling=beta * SPEC.J_eff)
-    assert np.max(np.abs(got - want)) < 1e-13
+    """The impurity map times the bulk slice is the slice with its facing
+    bond at beta J_eff, from the independent dense route: for several beta,
+    a Trotter step, and J_eff = 1e-9, the sinc limit of sin(beta J) / sin J."""
+    specs = [replace(SPEC, impurity=Impurity(0.7, beta))
+             for beta in (0.0, 0.6, 1.0, 1.3)]
+    specs += [replace(SPEC_TROT, impurity=Impurity(0.5, 0.6)),
+              replace(SPEC, J=1e-9, impurity=Impurity(0.7, 0.6))]
+    for spec in specs:
+        got = _impurity_map(spec).dense() @ build_transfer_slice(spec).dense()
+        want = oracles.dense_transfer_slice(spec, spec.impurity.beta * spec.J_eff)
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_solve_im_reaches_dense_fixed_point():
@@ -249,9 +258,26 @@ def test_impurity_im_records_entropies_and_all_weights():
     assert d["entropy_halfcut"][-1] == d["entropy_profile"][-1][3] > 0.1
     assert d["entropy_max"][-1] == max(d["entropy_profile"][-1])
     assert d["max_bond"][-1] == imp.psi.max_bond()
-    # the base solve's weights, then the slice's own
+    # the base solve's weights, then the map's own: its cuts never reach
+    # chi_max, so it drops round-off only
     assert d["discarded_weight"][:-1] == base.diagnostics["discarded_weight"]
-    assert d["discarded_weight"][-1] > 0.0
+    assert d["discarded_weight"][-1] < 1e-24
+
+
+@pytest.mark.parametrize("reuse_im", [False, True], ids=["grown", "solved"])
+def test_impurity_im_never_widens_the_base(reuse_im):
+    """The map has bond dimension 1: the impurity IM's bonds are at most the
+    base IM's, also where the base sits at chi_max."""
+    spec = trotterize(1.0, math.sqrt(2), 0.681, 0.4, 0.04,
+                      impurity=Impurity(0.5, 0.8))
+    sink = []
+    autocorrelator_series(spec, 8, 0.0, reuse_im=reuse_im, im_sink=sink)
+    pairs = list(zip(sink[::2], sink[1::2]))
+    assert len(pairs) == (1 if reuse_im else spec.T)
+    assert max(base.psi.max_bond() for base, _ in pairs) == 8
+    for base, imp in pairs:
+        assert imp.psi.max_bond() <= base.psi.max_bond()
+        assert imp.diagnostics["max_bond"][-1] == imp.psi.max_bond()
 
 
 def test_disorder_slice_mpo_matches_dense_average():
@@ -298,7 +324,7 @@ def test_real_basis_turns_the_swap_into_conjugation():
     (build_transfer_slice(ModelSpec(J=0.5, g=0.7, h=0.1, T=1)), _folded_bond),
     (build_transfer_slice(SPEC), _folded_bond),
     (build_transfer_slice(ModelSpec(J=0.31, g=0.57, h=0.23, T=4)), _folded_bond),
-    (build_transfer_slice(SPEC, bond_coupling=0.6 * SPEC.J_eff), _folded_bond),
+    (_impurity_map(replace(SPEC, impurity=Impurity(beta=0.6))), _folded_bond),
     (build_transfer_slice(SPEC_QUENCH), _folded_bond),
     (build_disorder_slice(SPEC_DTC).weights, _folded_bond),
     (build_disorder_slice(SPEC_DTC).constraint, _charge_bond),
@@ -422,7 +448,7 @@ def test_real_impurity_slice_matches_complex_path():
     spec = ModelSpec(J=0.8, g=0.45, h=0.3, T=5, eps=0.1,
                      impurity=Impurity(alpha=0.5, beta=0.6))
     base = solve_im(spec, chi_max=256, cutoff=0.0)
-    op = build_transfer_slice(spec, bond_coupling=0.6 * spec.J_eff)
+    op = _impurity_map(spec)  # in the folded z basis
     # the base's global phase survives the real basis; the trace
     # normalisation fixes the result only up to sign (phases whose square
     # is near -1 are left out: there the sign is round-off)
@@ -459,28 +485,38 @@ def test_im_alpha_independent_bitwise():
     assert im_bits(a) == im_bits(b)
     imp = lambda spec, base: impurity_im(spec, base, chi_max=16, cutoff=0.0)
     assert im_bits(imp(mk(0.25), a)) == im_bits(imp(mk(1.75), b))
-    # beta does enter: the spec keeps it, and the impurity slice's bond
-    # carries it (the base solve is the homogeneous environment)
+    # beta does enter: the spec keeps it, and the impurity map carries it
+    # (the base solve is the homogeneous environment)
     c = solve(mk(0.25, 0.9))
     assert im_bits(a) != im_bits(c)
     assert im_bits(imp(mk(0.25), a))[0] != im_bits(imp(mk(0.25, 0.9), c))[0]
 
 
-@pytest.mark.parametrize("spec,coupling", [
-    (SPEC, None), (SPEC, 0.6 * SPEC.J_eff), (SPEC_TROT, None), (SPEC_DTC, None)],
+@pytest.mark.parametrize("spec", [
+    SPEC, replace(SPEC, impurity=Impurity(beta=0.6)), SPEC_TROT, SPEC_DTC],
     ids=["clean", "impurity_bond", "trotter", "disorder"])
-def test_real_slice_step_is_the_slice(spec, coupling):
+def test_real_slice_step_is_the_slice(spec):
     """Every kind of slice is one ``apply`` step in the real basis; rotated
-    back, it is the z-basis slice times the state."""
+    back, it is the z-basis slice times the state.  The impurity's step is
+    the bulk one followed by the map, against the dense slice whose facing
+    bond is at beta J_eff."""
     b = boundary_mps("open", spec.T)
     psi, phase = _real_mps(b)
-    r = _real_slice(spec, coupling).apply(psi, 4 ** spec.T, 0.0)
-    sl = (build_disorder_slice(spec) if spec.disorder
-          else build_transfer_slice(spec, coupling))
-    want = sl.dense() @ b.dense()
+    chi = 4 ** spec.T
+    r = _real_slice(spec).apply(psi, chi, 0.0)
+    weight = r.discarded_weight
+    if spec.impurity:
+        r = apply_mpo_zipup(_real_mpo(_impurity_map(spec), _folded_bond),
+                            r.psi, chi, 0.0)
+        weight += r.discarded_weight
+        sl = oracles.dense_transfer_slice(spec, spec.impurity.beta * spec.J_eff)
+    else:
+        sl = (build_disorder_slice(spec) if spec.disorder
+              else build_transfer_slice(spec)).dense()
+    want = sl @ b.dense()
     got = _folded_mps(r.psi, phase).dense()
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
-    assert r.discarded_weight < 1e-24
+    assert weight < 1e-24
 
 
 def test_impurity_on_a_disorder_average_raises():
@@ -490,5 +526,20 @@ def test_impurity_on_a_disorder_average_raises():
     base = solve_im(spec, chi_max=16, cutoff=1e-12)
     with pytest.raises(ValueError, match="disorder"):
         impurity_im(spec, base, 16, 1e-12)
-    with pytest.raises(ValueError, match="disorder"):
-        _real_slice(spec, 0.8)
+
+
+@pytest.mark.parametrize("J, singular", [
+    (1.52, False), (1.56, True), (-1.57, True), (3.0, False), (3.14, True),
+    (0.0, False), (4.71, True)])
+def test_impurity_im_raises_near_a_singular_point_of_the_map(J, singular):
+    """Near cos J_eff = 0, and near sin J_eff = 0 away from J_eff = 0, the
+    bulk slice all but drops a component the impurity bond needs; there
+    ``impurity_im`` raises instead of amplifying the base's truncation."""
+    spec = ModelSpec(J=J, g=0.7, h=0.3, T=3, impurity=Impurity(0.5, 0.8))
+    base = solve_im(spec, chi_max=16, cutoff=0.0)
+    assert (influence.impurity_map_margin(J) < influence.IMPURITY_MAP_FLOOR) == singular
+    if singular:
+        with pytest.raises(ValueError, match="singular point of the impurity map"):
+            impurity_im(spec, base, 16, 0.0)
+    else:
+        impurity_im(spec, base, 16, 0.0)
