@@ -277,17 +277,25 @@ class SolveSummary:
     every iteration's discarded weight and its final deficit.  A grown IM
     and an impurity IM each extend the IM before them by one slice, so
     they add only the last entry of their weight record, and neither
-    records a deficit.  An impurity IM is not a solve.
+    records a deficit.  An impurity IM is not a solve.  ``fit_applications``
+    and ``fit_refused`` count the applications a fit made and those whose
+    fit was refused and zipped up instead, over every IM's route record: a
+    solve's iterations, and the extra bulk application of an impurity IM
+    on a solve.
     """
 
     def __init__(self):
         self.solves = self.converged = self.max_iterations = 0
+        self.fit_applications = self.fit_refused = 0
         self.max_final_deficit = self.max_trace_residual = 0.0
         self._weights: List[float] = []
 
     def append(self, im) -> None:
         d = im.diagnostics
         self.max_trace_residual = max(self.max_trace_residual, d["trace_residual"][-1])
+        routes = d.get("route", [])
+        self.fit_applications += routes.count("fit")
+        self.fit_refused += routes.count("fit_refused")
         if "deficit" in d:
             self.max_final_deficit = max(self.max_final_deficit, d["deficit"][-1])
             self._weights.extend(d["discarded_weight"])
@@ -302,6 +310,8 @@ class SolveSummary:
     def as_dict(self) -> Dict[str, object]:
         return {"solves": self.solves, "converged": self.converged,
                 "max_iterations": self.max_iterations,
+                "fit_applications": self.fit_applications,
+                "fit_refused": self.fit_refused,
                 "max_final_deficit": self.max_final_deficit,
                 "max_trace_residual": self.max_trace_residual,
                 "discarded_weight": math.fsum(self._weights)}

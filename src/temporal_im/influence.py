@@ -6,9 +6,11 @@ Because the circuit has a strict light cone, power iteration from any
 product boundary state lands on that eigenvector after ceil(T/2)
 applications at infinite temperature (gates outside both the forward and
 the backward cone cancel) and after T from a polarized state, where only
-the backward cone does; no eigensolver is involved.  The IMs of every
-horizon 1..T also follow one from the next, one slice application each
-(``grow_ims``).
+the backward cone does; no eigensolver is involved.  Once the iterate's
+bonds reach the chi cap, a solve fits each application warm-started from
+the iterate and keeps the fit under its certified residual, else zips up
+(``_SliceMpo``).  The IMs of every horizon 1..T also follow one from the
+next, one slice application each (``grow_ims``).
 
 Conventions.  An IM is a vector over the folded z-trajectory of the site it
 faces and includes the interaction phases on the bond linking that site to
@@ -26,8 +28,8 @@ from typing import Dict, Iterator, List, Optional, Union
 import numpy as np
 
 from .models import ModelSpec, floquet_kernel, folded_kick_links
-from .mps import (TemporalMps, TemporalMpo, ZipupResult, apply_mpo_zipup,
-                  canonicalize, mps_norm, overlap, product_mps)
+from .mps import (TemporalMps, TemporalMpo, ZipupResult, apply_mpo_fit,
+                  apply_mpo_zipup, canonicalize, mps_norm, overlap, product_mps)
 from .mps import entropy_profile  # noqa: F401  unused here; imbench/tracing.py wraps it
 from .tensor import (FOLDED_BWD, FOLDED_FWD, FOLDED_SIGMA, FOLDED_SIGMA_BAR,
                      NumericalInstabilityError)
@@ -242,23 +244,54 @@ def _folded_mps(psi: TemporalMps, phase: complex) -> TemporalMps:
     return TemporalMps(tensors, psi.norm_log, psi.canonical_center)
 
 
+# A solve keeps a fit whose certified residual is at most _FIT_SLACK times
+# the discarded weight of its last zip-up, or at most _FIT_FLOOR, which
+# absorbs the round-off of the residual's subtraction (converged quench
+# fits read a few 1e-14 either side of 0).
+_FIT_SLACK = 1.1
+_FIT_FLOOR = 1e-12
+
+
 @dataclass
 class _SliceMpo:
-    """A clean slice: one zip-up per step."""
+    """A clean slice: one zip-up per step, or within a solve (``fit``) one
+    variational fit per step once the cap binds.
+
+    A fit cannot grow a bond, so the zip-up takes every application until
+    the input's largest bond reaches chi_max.  From then on each
+    application is first fitted (``apply_mpo_fit``) and the fit is kept
+    where its residual is at most max(1.1 ``bound``, 1e-12); ``bound``,
+    per-solve state, is the discarded weight of the last zip-up.  A kept
+    fit records its residual plus its right-to-left sweep's dropped
+    fractions as the application's discarded weight.  A refused fit hands
+    the application to the zip-up, which resets the bound.
+    """
     op: TemporalMpo
+    fit: bool = False
+    bound: Optional[float] = None
 
     def apply(self, psi: TemporalMps, chi_max: int,
               cutoff: float = 0.0) -> ZipupResult:
-        return apply_mpo_zipup(self.op, psi, chi_max, cutoff)
+        route = "zipup"
+        if self.fit and self.bound is not None and psi.max_bond() >= chi_max:
+            f = apply_mpo_fit(self.op, psi, chi_max, cutoff)
+            if f.residual <= max(_FIT_SLACK * self.bound, _FIT_FLOOR):
+                return f
+            route = "fit_refused"
+        r = apply_mpo_zipup(self.op, psi, chi_max, cutoff)
+        self.bound = r.discarded_weight
+        return replace(r, route=route)
 
 
-def _real_slice(spec: ModelSpec) -> Union[_SliceMpo, DisorderSliceMpo]:
+def _real_slice(spec: ModelSpec,
+                fit: bool = False) -> Union[_SliceMpo, DisorderSliceMpo]:
     """The spec's dual slice in the real basis, as an object whose
     ``apply(psi, chi_max, cutoff)`` is one power-iteration step: the
     exactly coupling-averaged pair for a disordered spec, else the transfer
-    MPO."""
+    MPO, whose applications at the cap are fits where ``fit`` is set (a
+    solve's slice; see ``_SliceMpo``).  The pair always zips up."""
     if spec.disorder is None:
-        return _SliceMpo(_real_mpo(build_transfer_slice(spec), _folded_bond))
+        return _SliceMpo(_real_mpo(build_transfer_slice(spec), _folded_bond), fit)
     dis = build_disorder_slice(spec)
     return DisorderSliceMpo(_real_mpo(dis.weights, _folded_bond),
                             _real_mpo(dis.constraint, _charge_bond))
@@ -345,8 +378,9 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     """Power-iterate the dual slice from a product boundary to the IM.
 
     Per-iteration diagnostics (overlap deficit, norm drift, bond entropy
-    profile with its max and half-cut values, max bond, discarded weight)
-    are collected on the returned object.  ``max_iters`` defaults to the
+    profile with its max and half-cut values, max bond, discarded weight,
+    and the route: "zipup", "fit" or "fit_refused", see ``_SliceMpo``) are
+    collected on the returned object.  ``max_iters`` defaults to the
     light-cone count n_lc (ceil(T/2), or T from a polarized state) plus 2;
     drift above ``drift_limit`` from iteration n_lc on means truncation has
     destabilized the iteration and raises.  ``cutoff=0`` keeps every
@@ -359,11 +393,12 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     n_lc = (T + 1) // 2 if spec.initial_state == "infinite_temperature" else T
     if max_iters is None:
         max_iters = n_lc + 2
-    step = _real_slice(spec)
+    step = _real_slice(spec, fit=True)
     psi, phase = _real_mps(boundary_mps(boundary, T))
     diag: Dict[str, list] = {k: [] for k in
                              ("deficit", "drift", "entropy_profile", "entropy_max",
-                              "entropy_halfcut", "max_bond", "discarded_weight")}
+                              "entropy_halfcut", "max_bond", "discarded_weight",
+                              "route")}
     prev_log = _log_norm(psi)
     converged = False
     iters = 0
@@ -376,6 +411,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
         diag["deficit"].append(deficit)
         diag["drift"].append(drift)
         diag["discarded_weight"].append(r.discarded_weight)
+        diag["route"].append(r.route)
         _record_entropies(diag, new, r.entropies)
         psi, prev_log, iters = new, log_norm, it
         if it >= n_lc and drift > drift_limit:
@@ -435,11 +471,17 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     the bulk slice leaves its fixed point in place, so the impurity IM is
     the map applied to ``base``: one zip-up of bond dimension 1, whose cuts
     never reach chi_max.  On a grown IM this is exact up to the growth
-    step's truncation; on a power-iteration solve it is the impurity slice
-    applied to the second-to-last iterate.  beta = 0 decouples the
-    environment (flat IM), beta = 1 leaves ``base`` as it is.  The
-    diagnostics hold the entropies and bond size of the new IM, and the
-    discarded weight of the base solve's iterations followed by the map's.
+    step's truncation.  On a power-iteration solve (a base that records
+    its routes) the map goes on one more application of the bulk slice,
+    made as the solve would make its next one (a fit at the cap, under the
+    bound of the solve's last zip-up; see ``_SliceMpo``), so the result is
+    the impurity slice applied to the last iterate, whose own deficit is
+    below the solve's tolerance.  beta = 0 decouples the environment (flat
+    IM), beta = 1 leaves ``base`` as it is.  The diagnostics hold the
+    entropies and bond size of the new IM, the discarded weight of the
+    base solve's iterations followed by that of the impurity slice (the
+    extra bulk application's plus the map's), and for a solved base the
+    extra application's route.
 
     Raises ``ValueError`` for a disorder-averaged spec, which has no single
     bond to scale, and where ``impurity_map_margin(J_eff)`` is below
@@ -467,13 +509,20 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     # basis, back on after, so the sign the normalisation picks is unchanged
     psi, phase = _real_mps(base.psi)
     before = _log_norm(psi)
+    diag: Dict[str, list] = {
+        "discarded_weight": list(base.diagnostics.get("discarded_weight", []))}
+    weight = 0.0
+    routes = base.diagnostics.get("route")
+    if routes:  # a solve: one more bulk application, by the solve's rule
+        step = _real_slice(spec, fit=True)
+        step.bound = [w for w, route in zip(diag["discarded_weight"], routes)
+                      if route != "fit"][-1]
+        r = step.apply(psi, chi_max, cutoff)
+        psi, weight, diag["route"] = r.psi, r.discarded_weight, [r.route]
     r = apply_mpo_zipup(_real_mpo(_impurity_map(spec), _folded_bond), psi,
                         chi_max, cutoff)
-    diag: Dict[str, list] = {
-        "impurity_drift": [abs(_log_norm(r.psi) - before)],
-        "discarded_weight": list(base.diagnostics.get("discarded_weight", []))
-                            + [r.discarded_weight],
-    }
+    diag["impurity_drift"] = [abs(_log_norm(r.psi) - before)]
+    diag["discarded_weight"].append(weight + r.discarded_weight)
     _record_entropies(diag, r.psi, r.entropies)
     im = InfluenceMatrix(psi=_folded_mps(r.psi, phase), spec=spec,
                          iterations_applied=base.iterations_applied + 1,

@@ -8,6 +8,15 @@ folded into the amplitudes, so the represented vector is
 
 That keeps long chains (T of a few hundred) inside double range and makes
 the eigenvalue drift of the power iteration observable.
+
+An MPO is applied to a state in one of two ways, both ending in the same
+right-to-left compression sweep (``_compress_leftward``), whose kept values
+give the bond entropies of the returned state: the zip-up
+(``apply_mpo_zipup``), which truncates while it absorbs the MPO and can
+grow every bond to chi_max, and one variational sweep warm-started from
+the input (``apply_mpo_fit``; Stoudenmire & White, NJP 12, 055026
+(2010)), which keeps the input's bonds, needs no SVD of the wide blocks,
+and certifies its own residual.
 """
 from __future__ import annotations
 
@@ -153,6 +162,9 @@ class ZipupResult:
     psi: TemporalMps
     discarded_weight: float  # summed relative dropped fraction over all SVD events
     entropies: List[float]   # von Neumann entropy of bonds 1..T-1
+    # what made psi: "zipup", "fit", or "fit_refused" (the zip-up that took
+    # an application whose fit the caller refused)
+    route: str = "zipup"
 
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
@@ -166,63 +178,36 @@ def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
     return u, s, vh, log_norm, frac
 
 
-def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
-                    cutoff: float = 0.0) -> ZipupResult:
-    """Compressed application op|psi> by the zip-up method.
+def _absorb(zipper: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """One site taken into a left-to-right sweep: ``zipper`` (c, wl, al),
+    the zip-up's carry or the fit's left environment, contracted with the
+    state tensor ``A`` and the MPO tensor ``W`` into (c, pout, wr, ar)."""
+    (c, wl, al), ar, wr = zipper.shape, A.shape[2], W.shape[3]
+    # plain matrix products on the operand layouts np.tensordot builds, so
+    # the rounding is tensordot's
+    tmp = np.dot(zipper.reshape(c * wl, al), A.reshape(al, 4 * ar))  # (c wl, pin ar)
+    tmp = tmp.reshape(c, wl, 4, ar).transpose(0, 3, 1, 2).reshape(c * ar, wl * 4)
+    theta = np.dot(tmp, W.transpose(0, 2, 1, 3).reshape(wl * 4, 4 * wr))
+    return theta.reshape(c, ar, 4, wr).transpose(0, 2, 3, 1)
 
-    Left-to-right sweep with truncation while the MPO is being absorbed
-    (peak intermediate bond stays <= chi * mpo bond), then one right-to-left
-    compression sweep.  Total discarded weight is the accumulated relative
-    dropped fraction over all truncation events.
 
-    The result is canonical about site 0 and ``entropies`` holds the von
-    Neumann entropy of every bond, taken from the kept singular values of
-    the right-to-left sweep: no extra SVD, no extra pass.  When bond i is cut
-    everything left of it is still the first sweep's left isometries and
-    everything right of it is already right-isometric, so those values are
-    Schmidt values.  The first sweep leaves every bond at most chi_max wide,
-    so the second sweep never meets the cap and drops only values below
-    max(``cutoff``, round-off floor) * s_0 (see ``svd_truncate``).  The
-    reported spectra are therefore the ones after that bond's truncation,
-    those of the returned state, up to the cutoff-level truncations the
-    sweep makes further left afterwards.
+def _compress_leftward(out: List[np.ndarray], norm_log: float,
+                       discarded: float, chi_max: int,
+                       cutoff: float) -> ZipupResult:
+    """The right-to-left sweep that ends a zip-up and a fit.
 
-    The cuts of the first sweep share one ``SweepHint``: after a cut that
-    kept ``chi_max`` values the cap likely decides the next one too, and
-    ``svd_truncate`` may then take it from the Gram matrix or a sketch.  The
-    second sweep's blocks have a side of at most chi_max, so it, and with it
-    the entropies, use gesdd.
+    Every site of ``out`` left of the last is a left isometry, so when bond
+    i is cut everything left of it is still left-isometric and everything
+    right of it already right-isometric: the kept values are the Schmidt
+    values of the returned state, up to the cutoff-level truncations the
+    sweep makes further left afterwards, and ``entropies`` holds their von
+    Neumann entropies.  No bond of ``out`` is wider than chi_max, so the
+    sweep never meets the cap; it drops only values below max(``cutoff``,
+    round-off floor) * s_0, its dropped fractions added to ``discarded``.
+    Its blocks have a side of at most chi_max and go to gesdd.  The
+    result is canonical about site 0.
     """
-    if op.T != psi.T:
-        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
-    T = psi.T
-    norm_log = psi.norm_log
-    discarded = 0.0
-    out: List[np.ndarray] = []
-    # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
-    # sweep and its SVDs in float64
-    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
-    hint = SweepHint()
-    for i in range(T):
-        A = psi.tensors[i]
-        W = op.tensors[i]
-        (c, wl, al), ar, wr = zipper.shape, A.shape[2], W.shape[3]
-        # plain matrix products on the operand layouts np.tensordot builds,
-        # so the rounding is tensordot's
-        tmp = np.dot(zipper.reshape(c * wl, al), A.reshape(al, 4 * ar))  # (c wl, pin ar)
-        tmp = tmp.reshape(c, wl, 4, ar).transpose(0, 3, 1, 2).reshape(c * ar, wl * 4)
-        theta = np.dot(tmp, W.transpose(0, 2, 1, 3).reshape(wl * 4, 4 * wr))
-        theta = theta.reshape(c, ar, 4, wr).transpose(0, 2, 3, 1)  # (c, pout, wr, ar)
-        if i == T - 1:
-            out.append(theta.reshape(c, 4, wr * ar))
-            break
-        u, s, vh, log_norm, frac = _truncate_event(
-            theta.reshape(c * 4, wr * ar), chi_max, cutoff, hint)
-        norm_log += log_norm
-        discarded += frac
-        out.append(u.reshape(c, 4, -1))
-        zipper = (s[:, None] * vh).reshape(-1, wr, ar)
-    # right-to-left compression sweep
+    T = len(out)
     entropies = [0.0] * (T - 1)
     for i in range(T - 1, 0, -1):
         chi_l, _, chi_r = out[i].shape
@@ -236,3 +221,177 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         out[i - 1] = np.dot(out[i - 1].reshape(cl * 4, chi_l), u * s[None, :]).reshape(cl, 4, -1)
     return ZipupResult(TemporalMps(out, norm_log=norm_log, canonical_center=0),
                        discarded, entropies)
+
+
+def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
+                    cutoff: float = 0.0) -> ZipupResult:
+    """Compressed application op|psi> by the zip-up method.
+
+    Left-to-right sweep with truncation while the MPO is being absorbed
+    (peak intermediate bond stays <= chi * mpo bond), then one right-to-left
+    compression sweep (``_compress_leftward``), whose kept values give the
+    entropies: no extra SVD, no extra pass.  The first sweep leaves every
+    bond at most chi_max wide and its sites left isometries.  Total
+    discarded weight is the accumulated relative dropped fraction over all
+    truncation events.  The result is canonical about site 0.
+
+    The cuts of the first sweep share one ``SweepHint``: after a cut that
+    kept ``chi_max`` values the cap likely decides the next one too, and
+    ``svd_truncate`` may then take it from the Gram matrix.
+    """
+    if op.T != psi.T:
+        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
+    T = psi.T
+    norm_log = psi.norm_log
+    discarded = 0.0
+    out: List[np.ndarray] = []
+    # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
+    # sweep and its SVDs in float64
+    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    hint = SweepHint()
+    for i in range(T):
+        theta = _absorb(zipper, psi.tensors[i], op.tensors[i])
+        c, _, wr, ar = theta.shape
+        if i == T - 1:
+            out.append(theta.reshape(c, 4, wr * ar))
+            break
+        u, s, vh, log_norm, frac = _truncate_event(
+            theta.reshape(c * 4, wr * ar), chi_max, cutoff, hint)
+        norm_log += log_norm
+        discarded += frac
+        out.append(u.reshape(c, 4, -1))
+        zipper = (s[:, None] * vh).reshape(-1, wr, ar)
+    return _compress_leftward(out, norm_log, discarded, chi_max, cutoff)
+
+
+@dataclass
+class FitResult(ZipupResult):
+    """``apply_mpo_fit``'s result.  ``discarded_weight`` is ``residual``
+    plus the right-to-left sweep's dropped fractions."""
+    residual: float = 0.0  # certified 1 - ||M_{T-1}||^2 / ||op psi||^2
+
+
+# the certificate contracts each site in this many slices of the bra bond
+_CERT_SLICES = 4
+
+
+def _log_norm2_of_product(op: TemporalMpo, psi: TemporalMps) -> float:
+    """log ||op psi||^2 without ``psi.norm_log``, from one double-layer
+    sandwich <psi| op^H op |psi> swept left to right.
+
+    The pair tensor sum_p' conj(W) (x) W over the output leg is built once
+    per distinct MPO tensor, so a slice's interior sites share one, and
+    applied through its SVD cut at the round-off floor: on a slice's
+    interior it has rank 16 of 64, which halves that contraction.  The
+    environment (a', w', w, a) is rescaled to unit norm at every site, its
+    log kept apart, and each site is contracted in ``_CERT_SLICES`` slices
+    of the bra bond, so that its two temporaries hold a quarter of
+    chi^2 D^2 4 entries each (128 KiB at chi = 32, D = 4).
+    """
+    pairs: dict = {}
+    env = np.ones((1, 1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    log_scale = 0.0
+    for A, W in zip(psi.tensors, op.tensors):
+        if id(W) not in pairs:
+            wl, _, _, wr = W.shape
+            # (pin' w'r wr, w'l wl pin), of rank 16 of 64 on a slice's interior
+            pair = np.einsum("aobc,doef->bcfade", W.conj(), W).reshape(
+                4 * wr * wr, wl * wl * 4)
+            u, sv, vh = _svd(pair)
+            rank = max(1, int(np.sum(sv >= max(pair.shape) * np.finfo(sv.dtype).eps * sv[0])))
+            pairs[id(W)] = (u[:, :rank] * sv[:rank], vh[:rank])
+        left, right = pairs[id(W)]
+        bra, wll, _, al = env.shape
+        wwl, ar = wll * wll, A.shape[2]
+        Ah = A.conj() if np.iscomplexobj(A) else A
+        new = np.zeros((ar, left.shape[0] // 4 * ar), dtype=env.dtype)
+        rows = -(-bra // _CERT_SLICES)
+        for j in range(0, bra, rows):
+            k = min(rows, bra - j)
+            x = np.dot(env[j:j + k].reshape(k * wwl, al), A.reshape(al, 4 * ar))
+            # (k, pin' w'r wr, ar)
+            y = np.matmul(left, np.matmul(right, x.reshape(k, wwl * 4, ar)))
+            new += np.dot(Ah[j:j + k].reshape(k * 4, ar).T,
+                          y.reshape(k * 4, -1))
+        nrm = float(np.linalg.norm(new))
+        if nrm == 0.0:
+            return -math.inf
+        env = (new / nrm).reshape(ar, W.shape[3], W.shape[3], ar)
+        log_scale += math.log(nrm)
+    return log_scale + math.log(abs(float(env.real.reshape(-1)[0])))
+
+
+def apply_mpo_fit(op: TemporalMpo, psi: TemporalMps, chi_max: int,
+                  cutoff: float = 0.0) -> FitResult:
+    """op|psi> by one variational sweep warm-started from ``psi``.
+
+    ``psi`` must be canonical at site 0, as every zip-up leaves it, so its
+    sites right of 0 are right isometries.  Three steps:
+
+    1. the right environments <psi|op|psi> of the input, T - 1 of them;
+    2. one optimizing left-to-right sweep: site i's tensor is the one that
+       brings the state closest to op|psi> with the sites left of it fixed
+       and those right of it those of ``psi``, contracted from the left
+       environment, ``psi``'s site, the MPO tensor and the right
+       environment; a thin QR keeps its isometry, and the left environment
+       moves on by it.  The last site keeps its tensor M_{T-1};
+    3. the zip-up's own right-to-left sweep (``_compress_leftward``).
+
+    A bond is never wider than ``psi``'s, so none reaches beyond chi_max,
+    ``cutoff`` acts as in the zip-up, and the entropies are the Schmidt
+    values of the returned state.  After step 2 the state is the
+    orthogonal projection of op|psi> onto the states with those left
+    isometries, so its relative residual is exactly 1 - ||M_{T-1}||^2 /
+    ||op psi||^2, the latter from one double-layer sandwich
+    (``_log_norm2_of_product``).  That is ``residual``; it reads a few
+    1e-14 either side of 0 where the fit is exact to round-off.  Each right
+    environment is freed once the sweep has used it.
+    """
+    if op.T != psi.T:
+        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
+    if psi.canonical_center != 0:
+        raise ValueError("the fit starts from a state canonical at site 0")
+    T = psi.T
+    dtype = np.result_type(*op.tensors, *psi.tensors)
+    # envs[i]: sites i+1..T-1 as (bra bond, mpo bond, ket bond), unit norm
+    envs: List[Optional[np.ndarray]] = [None] * T
+    env = np.ones((1, 1, 1), dtype=dtype)
+    envs[T - 1] = env
+    for i in range(T - 1, 0, -1):
+        A, W = psi.tensors[i], op.tensors[i]
+        al, _, ar = A.shape
+        wl, wr = W.shape[0], W.shape[3]
+        # (a p_in, a'r wr) -> (a, p_in, a'r, wr)
+        t = np.dot(A.reshape(al * 4, ar), env.reshape(-1, ar).T)
+        t = t.reshape(al, 4, -1, wr).transpose(0, 2, 1, 3).reshape(al * ar, 4 * wr)
+        t = np.dot(t, W.reshape(wl, 4, 4 * wr).transpose(2, 0, 1).reshape(4 * wr, wl * 4))
+        # (a, a'r, wl, pout) -> (a', wl, a) with the bra site
+        t = t.reshape(al, ar, wl, 4).transpose(2, 0, 3, 1).reshape(wl * al, 4 * ar)
+        env = np.dot(A.conj().reshape(al, 4 * ar), t.T).reshape(al, wl, al)
+        nrm = float(np.linalg.norm(env))
+        env = env / nrm if nrm > 0.0 else env
+        envs[i - 1] = env
+    norm_log = psi.norm_log
+    out: List[np.ndarray] = []
+    zipper = np.ones((1, 1, 1), dtype=dtype)
+    for i in range(T):
+        theta = _absorb(zipper, psi.tensors[i], op.tensors[i])
+        c, _, wr, ar = theta.shape
+        if i == T - 1:
+            out.append(theta.reshape(c, 4, wr * ar))
+            break
+        block = theta.reshape(c * 4, wr * ar)
+        right, envs[i] = envs[i], None
+        q = np.linalg.qr(np.dot(block, right.reshape(-1, wr * ar).T))[0]
+        out.append(q.reshape(c, 4, -1))
+        zipper = np.dot(q.conj().T, block)
+        nrm = float(np.linalg.norm(zipper))
+        if nrm > 0.0:
+            zipper = zipper / nrm
+            norm_log += math.log(nrm)
+        zipper = zipper.reshape(-1, wr, ar)
+    last = float(np.vdot(out[-1], out[-1]).real)
+    kept = 2.0 * (norm_log - psi.norm_log) + (math.log(last) if last > 0 else -math.inf)
+    residual = 1.0 - math.exp(kept - _log_norm2_of_product(op, psi))
+    r = _compress_leftward(out, norm_log, residual, chi_max, cutoff)
+    return FitResult(r.psi, r.discarded_weight, r.entropies, "fit", residual)

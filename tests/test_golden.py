@@ -82,9 +82,9 @@ SOLVE_FLOATS = {"max_final_deficit": "entropy_max",
                 "discarded_weight": "discarded_weight"}
 # ...except where a field has a bound of its own: dtc-disorder's trace
 # residual moved by 5.4e-14 under gesvd, 4.6e-14 under two BLAS threads and
-# 3.5e-14 under h + 1 ulp; quench-confined's, whose cuts are sketched, by
-# 1.7e-13 under gesvd and 4e-15 under h + 1 ulp (2.7e-14 to 1.3e-13 under
-# J, g or eps + 1 ulp)
+# 3.5e-14 under h + 1 ulp; quench-confined's, with its cap-bound steps
+# fitted, by 2.4e-13 under gesvd and 1.1e-14 to 7.7e-14 under J, g or
+# h + 1 ulp
 SOLVE_BOUNDS = {"dtc-disorder": {"max_trace_residual": 6e-13},
                 "quench-confined": {"max_trace_residual": 1.7e-12}}
 
@@ -146,10 +146,10 @@ def test_golden_outputs(tmp_path, name):
     assert not over, f"{name} moved beyond its bounds: {over}"
 
 
-# the least share of each workload's Gram and sketch asks that succeeds;
-# None where the workload makes no such ask
-ROUTES = {"floquet-chaotic": (0.8, None), "quench-confined": (None, 0.9),
-          "impurity-fresh": (None, None), "dtc-disorder": (0.9, None)}
+# the least share of each workload's Gram asks that succeeds; None where
+# the workload makes no such ask
+ROUTES = {"floquet-chaotic": 0.8, "quench-confined": None,
+          "impurity-fresh": None, "dtc-disorder": 0.9}
 
 
 @pytest.mark.parametrize("name, asks", [
@@ -157,23 +157,17 @@ ROUTES = {"floquet-chaotic": (0.8, None), "quench-confined": (None, 0.9),
     ("impurity-fresh", False), ("dtc-disorder", True)])
 def test_gram_attempts(tmp_path, monkeypatch, name, asks):
     """The zip-up asks for a Gram cut (``asks``) after a cap-bound cut
-    whose spectrum was resolved, and for a sketched cut after one whose
-    tail was below tau^2, on blocks at least 2.5 l wide.  Floquet's
-    spectra at the cap are flat: it asks only for Gram cuts.  The quench's
-    sit near 1e-8 s_0 on 128 x 128 blocks: it asks only for sketched cuts,
-    and nearly all are certified.  The impurity's cap-bound blocks are too
-    narrow to sketch, and the DTC's tails sit between tau^2 and tau: they
-    ask for no sketch, and keep gesdd's and the Gram cut's outputs."""
+    whose spectrum was resolved.  Floquet's spectra at the cap are flat,
+    and so are the DTC's: their zip-ups ask.  The quench's and the
+    impurity's tails past the cap sit below tau (near 1e-8 s_0 on the
+    quench): neither asks, and both keep gesdd's outputs."""
     gram = cut_spy(monkeypatch, "_gram_cut")
-    sketch = cut_spy(monkeypatch, "_sketch_cut")
     _run(name, str(tmp_path))
-    print(f"{name}: {sum(gram)} of {len(gram)} Gram attempts and "
-          f"{sum(sketch)} of {len(sketch)} sketches succeeded")
-    for calls, share in zip((gram, sketch), ROUTES[name]):
-        assert (len(calls) > 0) == (share is not None)
-        if share is not None:
-            assert sum(calls) >= share * len(calls)
-    assert (len(gram) > 0) == asks
+    print(f"{name}: {sum(gram)} of {len(gram)} Gram attempts succeeded")
+    share = ROUTES[name]
+    assert (len(gram) > 0) == (share is not None) == asks
+    if share is not None:
+        assert sum(gram) >= share * len(gram)
 
 
 def regenerate(root: str = GOLDEN) -> None:

@@ -21,7 +21,7 @@ from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
 from temporal_im import oracles
 from temporal_im.observables import autocorrelator_series, temporal_contract
 
-from helpers import im_bits
+from helpers import czz_plan, im_bits
 
 SPEC = ModelSpec(J=0.31, g=0.57, h=0.23, T=3)
 SPEC_TROT = ModelSpec(J=0.8, g=0.45, h=0.3, T=3, eps=0.1)
@@ -258,10 +258,54 @@ def test_impurity_im_records_entropies_and_all_weights():
     assert d["entropy_halfcut"][-1] == d["entropy_profile"][-1][3] > 0.1
     assert d["entropy_max"][-1] == max(d["entropy_profile"][-1])
     assert d["max_bond"][-1] == imp.psi.max_bond()
-    # the base solve's weights, then the map's own: its cuts never reach
-    # chi_max, so it drops round-off only
+    # the base solve's weights, then the impurity slice's: one more bulk
+    # application, made as the solve's next one (a fit at the cap), and
+    # the map.  On a grown base the map alone: its cuts never reach chi_max,
+    # so it drops round-off only
     assert d["discarded_weight"][:-1] == base.diagnostics["discarded_weight"]
-    assert d["discarded_weight"][-1] < 1e-24
+    assert d["route"] == ["fit"] and d["discarded_weight"][-1] > 1e-6
+    grown = list(grow_ims(spec, chi_max=6, cutoff=0.0))[-1]
+    d = impurity_im(spec, grown, chi_max=6, cutoff=0.0).diagnostics
+    assert d["discarded_weight"][:-1] == grown.diagnostics["discarded_weight"]
+    assert "route" not in d and d["discarded_weight"][-1] < 1e-24
+
+
+def test_reuse_impurity_im_carries_no_solve_tolerance():
+    """On a solve the map goes on one more bulk application, so the
+    impurity series at the default tol (1e-10) is that of a tol = 1e-14
+    solve to round-off.  With the map on the last iterate it was off by
+    1.2e-10 here: the impurity slice applied to the second-to-last."""
+    spec = trotterize(1.0, math.sqrt(2), 0.681, 0.8, 0.04,
+                      impurity=Impurity(0.5, 0.8))
+    sink = []
+    got = autocorrelator_series(spec, 16, 0.0, reuse_im=True, im_sink=sink)
+    base = sink[0]
+    tight = solve_im(spec, chi_max=16, cutoff=0.0, tol=1e-14)
+    assert base.converged and tight.iterations_applied > base.iterations_applied
+    kern = floquet_kernel(spec, "impurity_site")
+    want = temporal_contract(impurity_im(spec, tight, 16, 0.0), kern,
+                             czz_plan(spec.T))
+    assert abs(got.values[-1] - want) < 1e-12
+
+
+def test_refused_fits_leave_the_zipup_solve(monkeypatch):
+    """With the fit's bound forced to 0 every application at the cap is
+    refused and zipped up: the solve is bit for bit the zip-up-only solve,
+    apart from the route record."""
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=8)
+    solve = lambda: solve_im(spec, chi_max=6, cutoff=1e-12, tol=0.0)
+    monkeypatch.setattr(influence, "_FIT_SLACK", 0.0)
+    monkeypatch.setattr(influence, "_FIT_FLOOR", 0.0)
+    refused = solve()
+    real = influence._real_slice
+    monkeypatch.setattr(influence, "_real_slice", lambda spec, fit=False: real(spec))
+    plain = solve()
+    routes = refused.diagnostics.pop("route")
+    assert plain.diagnostics.pop("route") == ["zipup"] * len(routes)
+    n = routes.index("fit_refused")  # zip-ups until the input meets the cap
+    assert routes == ["zipup"] * n + ["fit_refused"] * (len(routes) - n)
+    assert len(routes) - n >= 3
+    assert im_bits(refused) == im_bits(plain)
 
 
 @pytest.mark.parametrize("reuse_im", [False, True], ids=["grown", "solved"])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_zipup,
-                             canonicalize, entropy_profile, mps_norm, overlap,
-                             product_mps)
+from temporal_im.influence import _real_mps, _real_slice, boundary_mps
+from temporal_im.models import ModelSpec
+from temporal_im.mps import (TemporalMpo, TemporalMps, apply_mpo_fit,
+                             apply_mpo_zipup, canonicalize, entropy_profile,
+                             mps_norm, overlap, product_mps)
 from temporal_im.tensor import NumericalInstabilityError, svd_truncate
 
 from helpers import cut_spy, failing_svd, overlap_tensordot, zipup_tensordot
@@ -160,11 +162,10 @@ def test_zipup_is_bitwise_the_tensordot_zipup(monkeypatch, case, real):
         psi, op = _real_part(psi), _real_part(op)
     chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
     gram_cuts = cut_spy(monkeypatch, "_gram_cut")
-    sketches = cut_spy(monkeypatch, "_sketch_cut")
     got = apply_mpo_zipup(op, psi, chi_max, cutoff)
-    kernel_cuts, kernel_sketches = list(gram_cuts), list(sketches)
+    kernel_cuts = list(gram_cuts)
     want = zipup_tensordot(op, psi, chi_max, cutoff)
-    assert gram_cuts == 2 * kernel_cuts and sketches == 2 * kernel_sketches
+    assert gram_cuts == 2 * kernel_cuts
     assert any(kernel_cuts) == (case == "capped")
     assert (got.psi.max_bond() == 4) == (case == "capped")
     assert len(got.psi.tensors) == len(want.psi.tensors) == T
@@ -184,6 +185,41 @@ def test_overlap_is_bitwise_the_tensordot_overlap(real):
         a, b = _real_part(a), _real_part(b)
     for x, y in ((a, b), (b, a), (a, a)):
         assert overlap(x, y) == overlap_tensordot(x, y)
+
+
+def _cap_bound_input(case):
+    """(op, psi, chi): a chaotic real slice at T = 7 and its third zip-up
+    iterate from the open boundary, at the chi = 6 cap; or a random complex
+    MPO and a random state canonical at site 0."""
+    if case == "slice":
+        op = _real_slice(ModelSpec(J=0.8, g=0.7236, h=0.6472, T=7)).op
+        psi = _real_mps(boundary_mps("open", 7))[0]
+        for _ in range(3):
+            psi = apply_mpo_zipup(op, psi, 6, 1e-12).psi
+        return op, psi, 6
+    return random_mpo(5, 3), canonicalize(random_mps(5, 4), 0), 4
+
+
+@pytest.mark.parametrize("case", ["slice", "random"])
+def test_fit_certifies_its_residual(case):
+    """The fit's residual is its dense relative error |W psi - phi|^2 /
+    |W psi|^2 to 1e-12 (cutoff 0: the right-to-left sweep drops sub-floor
+    values only), its entropies are those of the returned state, no bond
+    is wider than the input's, and the result is canonical at site 0."""
+    op, psi, chi = _cap_bound_input(case)
+    assert psi.max_bond() == chi and psi.canonical_center == 0
+    f = apply_mpo_fit(op, psi, chi, cutoff=0.0)
+    want = apply_mpo_zipup(op, psi, 10 ** 6).psi.dense()  # exact op|psi>
+    err = np.linalg.norm(want - f.psi.dense()) ** 2 / np.linalg.norm(want) ** 2
+    assert f.residual > 1e-6 and abs(f.residual - err) < 1e-12
+    assert abs(f.discarded_weight - f.residual) < 1e-24
+    assert np.max(np.abs(np.asarray(f.entropies) - entropy_profile(f.psi))) < 1e-12
+    assert max(f.entropies) > 0.1 and f.route == "fit"
+    assert all(a.shape[0] <= b.shape[0] for a, b in zip(f.psi.tensors, psi.tensors))
+    assert f.psi.canonical_center == 0
+    # the input must be canonical at site 0
+    with pytest.raises(ValueError, match="canonical at site 0"):
+        apply_mpo_fit(op, TemporalMps(psi.tensors, psi.norm_log), chi)
 
 
 def test_zipup_single_site_has_no_bonds():

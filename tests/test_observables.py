@@ -159,7 +159,9 @@ def test_entropy_series_reports_chi_convergence():
 
 def test_fresh_series_takes_no_boundary():
     """A fresh series is grown without a boundary state: any boundary but
-    the default raises, and with ``reuse_im`` the boundary is read."""
+    the default raises.  With ``reuse_im`` the boundary is read: the two
+    chi = 4 solves are not the same bits, yet, fitted at the cap, both
+    reach the one IM to round-off."""
     pol = dict(J=1.0, g=0.25, h=0.4, t_max=0.6, eps=0.2, chi_max=4, cutoff=1e-12)
     with pytest.raises(ValueError, match="needs reuse_im"):
         autocorrelator_series(SPEC, chi_max=8, boundary="perfect_dephaser")
@@ -167,7 +169,7 @@ def test_fresh_series_takes_no_boundary():
         quench_magnetization_series(**pol, boundary="perfect_dephaser")
     a = quench_magnetization_series(**pol, boundary="perfect_dephaser", reuse_im=True)
     b = quench_magnetization_series(**pol, reuse_im=True)
-    assert np.max(np.abs(a.values - b.values)) > 1e-12
+    assert 0.0 < np.max(np.abs(a.values - b.values)) < 1e-11
 
 
 def test_im_sink_collects_converged_ims():
