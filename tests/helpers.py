@@ -53,8 +53,8 @@ def failing_svd(monkeypatch, failures: int) -> list:
 
 
 def cut_spy(monkeypatch, name: str) -> list:
-    """Spy on the cut ``tensor.<name>`` (``_gram_cut``): one entry per
-    call, True where it took the cut."""
+    """Spy on the cut ``tensor.<name>`` (``_gram_cut`` or ``_sketch_cut``):
+    one entry per call, True where it took the cut."""
     real, calls = getattr(tensor, name), []
 
     def cut(m, chi_max, rel):

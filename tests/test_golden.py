@@ -146,10 +146,10 @@ def test_golden_outputs(tmp_path, name):
     assert not over, f"{name} moved beyond its bounds: {over}"
 
 
-# the least share of each workload's Gram asks that succeeds; None where
-# the workload makes no such ask
-ROUTES = {"floquet-chaotic": 0.8, "quench-confined": None,
-          "impurity-fresh": None, "dtc-disorder": 0.9}
+# the least share of each workload's Gram and sketch asks that succeeds;
+# None where the workload makes no such ask
+ROUTES = {"floquet-chaotic": (0.8, None), "quench-confined": (None, None),
+          "impurity-fresh": (None, None), "dtc-disorder": (0.9, None)}
 
 
 @pytest.mark.parametrize("name, asks", [
@@ -157,17 +157,23 @@ ROUTES = {"floquet-chaotic": 0.8, "quench-confined": None,
     ("impurity-fresh", False), ("dtc-disorder", True)])
 def test_gram_attempts(tmp_path, monkeypatch, name, asks):
     """The zip-up asks for a Gram cut (``asks``) after a cap-bound cut
-    whose spectrum was resolved.  Floquet's spectra at the cap are flat,
-    and so are the DTC's: their zip-ups ask.  The quench's and the
-    impurity's tails past the cap sit below tau (near 1e-8 s_0 on the
-    quench): neither asks, and both keep gesdd's outputs."""
+    whose spectrum was resolved, and for a sketched cut after one whose
+    tail was below tau^2, on blocks at least 2.5 l wide.  Floquet's
+    spectra at the cap are flat, and so are the DTC's: their zip-ups ask
+    for Gram cuts only.  The quench's and the impurity's tails past the cap
+    sit below tau (near 1e-8 s_0 on the quench), but their cap-bound steps
+    are fits or their blocks too narrow to sketch: neither asks for either
+    route, and both keep gesdd's outputs."""
     gram = cut_spy(monkeypatch, "_gram_cut")
+    sketch = cut_spy(monkeypatch, "_sketch_cut")
     _run(name, str(tmp_path))
-    print(f"{name}: {sum(gram)} of {len(gram)} Gram attempts succeeded")
-    share = ROUTES[name]
-    assert (len(gram) > 0) == (share is not None) == asks
-    if share is not None:
-        assert sum(gram) >= share * len(gram)
+    print(f"{name}: {sum(gram)} of {len(gram)} Gram attempts and "
+          f"{sum(sketch)} of {len(sketch)} sketches succeeded")
+    for calls, share in zip((gram, sketch), ROUTES[name]):
+        assert (len(calls) > 0) == (share is not None)
+        if share is not None:
+            assert sum(calls) >= share * len(calls)
+    assert (len(gram) > 0) == asks
 
 
 def regenerate(root: str = GOLDEN) -> None:

@@ -162,10 +162,11 @@ def test_zipup_is_bitwise_the_tensordot_zipup(monkeypatch, case, real):
         psi, op = _real_part(psi), _real_part(op)
     chi_max, cutoff = (4, 0.0) if case == "capped" else (10 ** 6, 1e-12)
     gram_cuts = cut_spy(monkeypatch, "_gram_cut")
+    sketches = cut_spy(monkeypatch, "_sketch_cut")
     got = apply_mpo_zipup(op, psi, chi_max, cutoff)
-    kernel_cuts = list(gram_cuts)
+    kernel_cuts, kernel_sketches = list(gram_cuts), list(sketches)
     want = zipup_tensordot(op, psi, chi_max, cutoff)
-    assert gram_cuts == 2 * kernel_cuts
+    assert gram_cuts == 2 * kernel_cuts and sketches == 2 * kernel_sketches
     assert any(kernel_cuts) == (case == "capped")
     assert (got.psi.max_bond() == 4) == (case == "capped")
     assert len(got.psi.tensors) == len(want.psi.tensors) == T

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -229,25 +230,129 @@ def test_gram_cut_keeps_what_gesdd_keeps(seed, shape, chi, cutoff):
     assert np.isclose(g.discarded_weight, d.discarded_weight, rtol=1e-9, atol=1e-15)
 
 
-_STEEP = 10.0 ** (-0.9 * np.arange(40))  # s_8 ~ 6e-8 s_0, as on the quench
+# spectra of 40 values for the sketched cut at chi = 8 (l = 20), s_0 = 1,
+# planted in blocks 50 wide, the least it is asked for: spectrum, cutoff,
+# and whether the certificate holds
+_STEEP = 10.0 ** (-0.9 * np.arange(40))  # s_chi ~ 6e-8 s_0, as on the quench
+_SKETCHED = {
+    "steep": (_STEEP, 0.0, True),
+    "flat": (np.geomspace(1.0, 1e-2, 40), 0.0, False),  # as on floquet
+    # a flat tail past a steep head: the kept part is sampled exactly, but
+    # the residual exceeds eta s_chi
+    "flat-after-gap": (np.concatenate([_STEEP[:8], np.full(32, 1e-10)]), 0.0, False),
+    "degenerate": (np.concatenate([_STEEP[:7], [_STEEP[7]] * 2, _STEEP[9:]]), 0.0, True),
+    "rank-below-l": (np.concatenate([np.geomspace(1.0, 1e-3, 16), np.zeros(24)]),
+                     0.0, True),
+    "rank-below-chi": (np.concatenate([np.geomspace(1.0, 1e-3, 5), np.zeros(35)]),
+                       0.0, False),
+    # the cutoff, not the cap, decides the kept count (5 values)
+    "cutoff-decides": (_STEEP, 1e-4, False),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(60, 50), (50, 60)], ids=["tall", "wide"])
+@pytest.mark.parametrize("block", sorted(_SKETCHED))
+def test_sketch_cut_meets_its_certificate_or_gives_way(monkeypatch, block,
+                                                       shape, dtype):
+    """A steep-tail hint asks for the sketched cut.  Where it gives way the
+    factors are gesdd's bit for bit; where it takes the cut it keeps
+    exactly chi values, its discarded weight is its squared error to
+    round-off, and that error is at most sqrt(1 + eta^2) times gesdd's."""
+    chi, eta = 8, tensor._SKETCH_ETA
+    spectrum, cutoff, certified = _SKETCHED[block]
+    m = _planted(shape, dtype, spectrum)
+    calls = cut_spy(monkeypatch, "_sketch_cut")
+    f = svd_truncate(m, chi_max=chi, cutoff=cutoff, hint=SweepHint(1e-8))
+    d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
+    assert calls == [certified]
+    if not certified:
+        _same_factors(f, d)
+        return
+    assert len(f.s) == len(d.s) == chi
+    assert f.u.dtype == f.vh.dtype == m.dtype and f.u.flags.c_contiguous
+    assert np.allclose(f.u.conj().T @ f.u, np.eye(chi), rtol=0, atol=1e-12)
+    assert np.allclose(f.vh @ f.vh.conj().T, np.eye(chi), rtol=0, atol=1e-12)
+    err2 = np.linalg.norm(m - f.u * f.s @ f.vh) ** 2
+    slack = 100 * np.finfo(float).eps  # round-off of the error itself
+    assert abs(err2 - f.discarded_weight) <= 2 * slack * np.sqrt(err2) + slack ** 2
+    assert np.sqrt(err2) <= np.sqrt(1 + eta ** 2) * np.sqrt(d.discarded_weight) + slack
 
 
 def test_sweep_hint_routes(monkeypatch):
-    """A hint asks for the Gram cut at a tail of at least tau and for
-    nothing below it; every cut leaves its own tail in the hint."""
+    """A hint asks for the Gram cut at a tail of at least tau, for the
+    sketched cut below tau^2 on a block at least 2.5 l wide, and for nothing
+    in between.  A sketch that gives way stops the sweep's sketches; every
+    cut leaves its own tail in the hint."""
     gram = cut_spy(monkeypatch, "_gram_cut")
+    sketch = cut_spy(monkeypatch, "_sketch_cut")
     steep = _planted((60, 50), np.float64, _STEEP)
     flat = _planted((60, 50), np.float64, np.geomspace(1.0, 1e-2, 40))
-    for tail in (1e-3, 1e-4, 1e-6, 1e-8):
+    for tail in (1e-3, 1e-4, 1e-6):
         svd_truncate(steep, chi_max=8, hint=SweepHint(tail))
-    assert gram == [False]
+    assert gram == [False] and sketch == []
+    svd_truncate(steep[:, :49], chi_max=8, hint=SweepHint(1e-8))
+    assert sketch == []
+
     hint = SweepHint(1e-8)
-    f = svd_truncate(flat, chi_max=8, hint=hint)
-    assert gram == [False] and hint.tail == f.s[-1] / f.s[0] >= tensor._GRAM_TAU
+    f = svd_truncate(steep, chi_max=8, hint=hint)
+    assert hint.sketch and hint.tail == f.s[-1] / f.s[0] < 1e-6
     svd_truncate(flat, chi_max=8, hint=hint)
-    assert gram == [False, True]
+    assert sketch == [True, False] and not hint.sketch
+    hint.tail = 1e-8
+    svd_truncate(steep, chi_max=8, hint=hint)
+    assert sketch == [True, False]
+    svd_truncate(steep, chi_max=8, hint=SweepHint(1e-8))
+    assert sketch == [True, False, True]
     svd_truncate(steep, chi_max=40, hint=hint)  # the cutoff decides: no tail
     assert hint.tail is None
+
+
+def _splitmix64_sign(k: int) -> float:
+    """-1 where the top bit of splitmix64's k-th output (seed 0) is set."""
+    mask = 2 ** 64 - 1
+    z = ((k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return -1.0 if z >> 63 else 1.0
+
+
+def test_sketch_matrix_is_a_function_of_its_shape_alone():
+    """The test matrix is splitmix64's sign bits in row-major order, read
+    only, and the same whatever was built before it."""
+    tensor._sketch_matrix.cache_clear()
+    first = tensor._sketch_matrix(40, 24).tobytes()
+    tensor._sketch_matrix.cache_clear()
+    for shape in ((24, 40), (7, 3), (40, 25)):
+        tensor._sketch_matrix(*shape)
+    omega = tensor._sketch_matrix(40, 24)
+    assert omega.tobytes() == first
+    assert omega.dtype == np.float64 and not omega.flags.writeable
+    assert omega.ravel().tolist() == [_splitmix64_sign(k) for k in range(40 * 24)]
+    assert abs(omega.sum()) < 0.1 * omega.size
+
+
+def test_sketch_cut_is_the_same_on_two_threads():
+    """Two threads cutting one block at once get the bytes of a serial cut."""
+    m = _planted((60, 50), np.float64, _STEEP)
+    tensor._sketch_matrix.cache_clear()
+    start, got = threading.Barrier(2), [None, None]
+
+    def cut(i):
+        start.wait()
+        got[i] = svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
+
+    threads = [threading.Thread(target=cut, args=(i,)) for i in range(2)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    want = svd_truncate(m, chi_max=8, hint=SweepHint(1e-8))
+    for f in got:
+        assert len(f.s) == 8
+        assert [x.tobytes() for x in f[:3]] == [x.tobytes() for x in want[:3]]
+        assert f.discarded_weight == want.discarded_weight
 
 
 @pytest.mark.parametrize("dtype", [np.float64, complex], ids=["real", "complex"])
@@ -256,10 +361,11 @@ def test_sweep_hint_routes(monkeypatch):
 def test_block_with_an_infinity_raises(monkeypatch, shape, dtype):
     """gesdd returns NaN values for a block holding an infinity without
     raising (or never returns, on some blocks).  Such a block, or one
-    holding a NaN, fails the screen whatever the hint: the Gram cut is not
-    asked, neither gesdd nor the QR retry runs, and the retry's per-entry
-    check rejects it."""
+    holding a NaN, fails the screen whatever the hint: no route is asked
+    (the 60 x 50 block is wide enough to sketch), neither gesdd nor the QR
+    retry runs, and the retry's per-entry check rejects it."""
     gram = cut_spy(monkeypatch, "_gram_cut")
+    sketch = cut_spy(monkeypatch, "_sketch_cut")
     qrs = _qr_spy(monkeypatch)
     seen = failing_svd(monkeypatch, failures=0)
     for bad in (np.inf, np.nan):
@@ -269,7 +375,7 @@ def test_block_with_an_infinity_raises(monkeypatch, shape, dtype):
             m[3, 2] = bad
             with pytest.raises(NumericalInstabilityError, match="non-finite"):
                 svd_truncate(m, chi_max=2, hint=hint)
-    assert gram == [] and qrs == [] and seen == []
+    assert gram == [] and sketch == [] and qrs == [] and seen == []
 
 
 @pytest.mark.parametrize("shape", [(12, 9), (60, 50)], ids=["12x9", "60x50"])
