@@ -247,35 +247,39 @@ def _folded_mps(psi: TemporalMps, phase: complex) -> TemporalMps:
 # A solve keeps a fit whose certified residual is at most _FIT_SLACK times
 # the discarded weight of its last zip-up, or at most _FIT_FLOOR, which
 # absorbs the round-off of the residual's subtraction (converged quench
-# fits read a few 1e-14 either side of 0).
+# fits read a few 1e-14 either side of 0); a kept residual within the
+# floor is recorded as none.
 _FIT_SLACK = 1.1
 _FIT_FLOOR = 1e-12
 
 
 @dataclass
 class _SliceMpo:
-    """A clean slice: one zip-up per step, or within a solve (``fit``) one
-    variational fit per step once the cap binds.
+    """A clean slice whose applications, one per step, are zip-ups until
+    the cap binds and fits from then on where the fit certifies itself.
 
     A fit cannot grow a bond, so the zip-up takes every application until
     the input's largest bond reaches chi_max.  From then on each
     application is first fitted (``apply_mpo_fit``) and the fit is kept
     where its residual is at most max(1.1 ``bound``, 1e-12); ``bound``,
-    per-solve state, is the discarded weight of the last zip-up.  A kept
-    fit records its residual plus its right-to-left sweep's dropped
-    fractions as the application's discarded weight.  A refused fit hands
-    the application to the zip-up, which resets the bound.
+    per-solve state, is the discarded weight of the last zip-up, so a fresh
+    slice's first application is always a zip-up.  A kept fit records its
+    residual (0 within the 1e-12 floor) plus its right-to-left sweep's
+    dropped fractions as the application's discarded weight.  A refused fit
+    hands the application to the zip-up, which resets the bound.
     """
     op: TemporalMpo
-    fit: bool = False
     bound: Optional[float] = None
 
     def apply(self, psi: TemporalMps, chi_max: int,
               cutoff: float = 0.0) -> ZipupResult:
         route = "zipup"
-        if self.fit and self.bound is not None and psi.max_bond() >= chi_max:
+        if self.bound is not None and psi.max_bond() >= chi_max:
             f = apply_mpo_fit(self.op, psi, chi_max, cutoff)
-            if f.residual <= max(_FIT_SLACK * self.bound, _FIT_FLOOR):
+            if f.residual <= _FIT_FLOOR:
+                return replace(f, discarded_weight=f.discarded_weight - f.residual,
+                               residual=0.0)
+            if f.residual <= _FIT_SLACK * self.bound:
                 return f
             route = "fit_refused"
         r = apply_mpo_zipup(self.op, psi, chi_max, cutoff)
@@ -283,15 +287,14 @@ class _SliceMpo:
         return replace(r, route=route)
 
 
-def _real_slice(spec: ModelSpec,
-                fit: bool = False) -> Union[_SliceMpo, DisorderSliceMpo]:
+def _real_slice(spec: ModelSpec) -> Union[_SliceMpo, DisorderSliceMpo]:
     """The spec's dual slice in the real basis, as an object whose
     ``apply(psi, chi_max, cutoff)`` is one power-iteration step: the
     exactly coupling-averaged pair for a disordered spec, else the transfer
-    MPO, whose applications at the cap are fits where ``fit`` is set (a
-    solve's slice; see ``_SliceMpo``).  The pair always zips up."""
+    MPO, whose applications at the cap after the first are fits where they
+    certify themselves (see ``_SliceMpo``).  The pair always zips up."""
     if spec.disorder is None:
-        return _SliceMpo(_real_mpo(build_transfer_slice(spec), _folded_bond), fit)
+        return _SliceMpo(_real_mpo(build_transfer_slice(spec), _folded_bond))
     dis = build_disorder_slice(spec)
     return DisorderSliceMpo(_real_mpo(dis.weights, _folded_bond),
                             _real_mpo(dis.constraint, _charge_bond))
@@ -393,7 +396,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
     n_lc = (T + 1) // 2 if spec.initial_state == "infinite_temperature" else T
     if max_iters is None:
         max_iters = n_lc + 2
-    step = _real_slice(spec, fit=True)
+    step = _real_slice(spec)
     psi, phase = _real_mps(boundary_mps(boundary, T))
     diag: Dict[str, list] = {k: [] for k in
                              ("deficit", "drift", "entropy_profile", "entropy_max",
@@ -514,7 +517,7 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     weight = 0.0
     routes = base.diagnostics.get("route")
     if routes:  # a solve: one more bulk application, by the solve's rule
-        step = _real_slice(spec, fit=True)
+        step = _real_slice(spec)
         step.bound = [w for w, route in zip(diag["discarded_weight"], routes)
                       if route != "fit"][-1]
         r = step.apply(psi, chi_max, cutoff)

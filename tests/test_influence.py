@@ -297,8 +297,9 @@ def test_refused_fits_leave_the_zipup_solve(monkeypatch):
     monkeypatch.setattr(influence, "_FIT_SLACK", 0.0)
     monkeypatch.setattr(influence, "_FIT_FLOOR", 0.0)
     refused = solve()
-    real = influence._real_slice
-    monkeypatch.setattr(influence, "_real_slice", lambda spec, fit=False: real(spec))
+    monkeypatch.setattr(influence._SliceMpo, "apply",
+                        lambda self, psi, chi_max, cutoff=0.0:
+                        apply_mpo_zipup(self.op, psi, chi_max, cutoff))
     plain = solve()
     routes = refused.diagnostics.pop("route")
     assert plain.diagnostics.pop("route") == ["zipup"] * len(routes)
@@ -306,6 +307,27 @@ def test_refused_fits_leave_the_zipup_solve(monkeypatch):
     assert routes == ["zipup"] * n + ["fit_refused"] * (len(routes) - n)
     assert len(routes) - n >= 3
     assert im_bits(refused) == im_bits(plain)
+
+
+def test_round_off_residuals_record_no_weight(monkeypatch):
+    """A quench solve's fits at the cap are exact to round-off: their
+    certified residuals read a few 1e-14, within the floor, and each such
+    kept fit records only its right-to-left sweep's sub-cutoff drops."""
+    spec = trotterize(1.0, 0.25, 0.4, 1.0, 0.04, initial_state="z_polarized_up")
+    residuals, real = [], influence.apply_mpo_fit
+
+    def fit(*args):
+        f = real(*args)
+        residuals.append(f.residual)
+        return f
+
+    monkeypatch.setattr(influence, "apply_mpo_fit", fit)
+    im = solve_im(spec, chi_max=8, cutoff=1e-12)
+    routes, weights = im.diagnostics["route"], im.diagnostics["discarded_weight"]
+    assert im.converged and routes.count("fit") == len(residuals) >= 2
+    assert all(1e-15 < abs(r) <= influence._FIT_FLOOR for r in residuals)
+    assert all(0.0 <= w < 1e-24 for w, route in zip(weights, routes)
+               if route == "fit")
 
 
 @pytest.mark.parametrize("reuse_im", [False, True], ids=["grown", "solved"])
