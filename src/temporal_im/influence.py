@@ -258,8 +258,8 @@ class _SliceMpo:
     """A clean slice whose applications, one per step, are zip-ups until
     the cap binds and fits from then on where the fit certifies itself.
 
-    A fit cannot grow a bond, so the zip-up takes every application until
-    the input's largest bond reaches chi_max.  From then on each
+    A fit keeps the input's bonds, so the zip-up takes every application
+    until the input's largest bond is chi_max.  From then on each
     application is first fitted (``apply_mpo_fit``) and the fit is kept
     where its residual is at most max(1.1 ``bound``, 1e-12); ``bound``,
     per-solve state, is the discarded weight of the last zip-up, so a fresh
@@ -274,8 +274,8 @@ class _SliceMpo:
     def apply(self, psi: TemporalMps, chi_max: int,
               cutoff: float = 0.0) -> ZipupResult:
         route = "zipup"
-        if self.bound is not None and psi.max_bond() >= chi_max:
-            f = apply_mpo_fit(self.op, psi, chi_max, cutoff)
+        if self.bound is not None and psi.max_bond() == chi_max:
+            f = apply_mpo_fit(self.op, psi, cutoff)
             if f.residual <= _FIT_FLOOR:
                 return replace(f, discarded_weight=f.discarded_weight - f.residual,
                                residual=0.0)
@@ -375,7 +375,18 @@ def _normalize_trace(im: InfluenceMatrix) -> None:
     im.psi.tensors[0] = im.psi.tensors[0] * phase ** -0.5
 
 
-def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
+def _influence_matrix(psi: TemporalMps, phase: complex, spec: ModelSpec,
+                      iterations: int, converged: bool,
+                      diag: Dict[str, list]) -> InfluenceMatrix:
+    """The IM of the real-basis state ``psi``: rotated back to the folded
+    z basis with ``phase`` (``_folded_mps``), then trace-normalised."""
+    im = InfluenceMatrix(_folded_mps(psi, phase), spec, iterations, converged,
+                         diag)
+    _normalize_trace(im)
+    return im
+
+
+def solve_im(spec: ModelSpec, boundary: str = "open", *, chi_max: int,
              cutoff: float = 0.0, max_iters: Optional[int] = None,
              tol: float = 1e-10, drift_limit: float = 1.0) -> InfluenceMatrix:
     """Power-iterate the dual slice from a product boundary to the IM.
@@ -423,11 +434,7 @@ def solve_im(spec: ModelSpec, boundary: str = "open", chi_max: int = 128,
         if deficit < tol:
             converged = True
             break
-    im = InfluenceMatrix(psi=_folded_mps(psi, phase), spec=spec,
-                         iterations_applied=iters, converged=converged,
-                         diagnostics=diag)
-    _normalize_trace(im)
-    return im
+    return _influence_matrix(psi, phase, spec, iters, converged, diag)
 
 
 # the least impurity_map_margin(J_eff) at which impurity_im maps the bulk IM
@@ -527,11 +534,8 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     diag["impurity_drift"] = [abs(_log_norm(r.psi) - before)]
     diag["discarded_weight"].append(weight + r.discarded_weight)
     _record_entropies(diag, r.psi, r.entropies)
-    im = InfluenceMatrix(psi=_folded_mps(r.psi, phase), spec=spec,
-                         iterations_applied=base.iterations_applied + 1,
-                         converged=base.converged, diagnostics=diag)
-    _normalize_trace(im)
-    return im
+    return _influence_matrix(r.psi, phase, spec, base.iterations_applied + 1,
+                             base.converged, diag)
 
 
 def grow_ims(spec: ModelSpec, chi_max: int,
@@ -564,8 +568,4 @@ def grow_ims(spec: ModelSpec, chi_max: int,
         psi, weights = r.psi, weights + [r.discarded_weight]
         diag: Dict[str, list] = {"discarded_weight": weights}
         _record_entropies(diag, psi, r.entropies)
-        im = InfluenceMatrix(psi=_folded_mps(psi, 1.0), spec=sub,
-                             iterations_applied=1, converged=True,
-                             diagnostics=diag)
-        _normalize_trace(im)
-        yield im
+        yield _influence_matrix(psi, 1.0, sub, 1, True, diag)

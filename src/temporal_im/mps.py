@@ -9,20 +9,22 @@ folded into the amplitudes, so the represented vector is
 That keeps long chains (T of a few hundred) inside double range and makes
 the eigenvalue drift of the power iteration observable.
 
-An MPO is applied to a state in one of two ways, both ending in the same
-right-to-left compression sweep (``_compress_leftward``), whose kept values
-give the bond entropies of the returned state: the zip-up
-(``apply_mpo_zipup``), which truncates while it absorbs the MPO and can
-grow every bond to chi_max, and one variational sweep warm-started from
-the input (``apply_mpo_fit``; Stoudenmire & White, NJP 12, 055026
-(2010)), which keeps the input's bonds, needs no SVD of the wide blocks,
-and certifies its own residual.
+An MPO is applied to a state in two sweeps.  The left-to-right sweep
+(``_sweep``) absorbs one site at a time and splits each block into a left
+isometry and the carry to the next site; the right-to-left sweep
+(``_compress_leftward``) cuts every bond once more, and its kept values
+give the bond entropies of the returned state.  The two applications
+differ only in the split: the zip-up (``apply_mpo_zipup``) cuts each
+block to chi_max, so it can grow every bond up to the cap, and the fit
+(``apply_mpo_fit``; Stoudenmire & White, NJP 12, 055026 (2010)) projects
+it onto the input's right environments, so it keeps the input's bonds,
+needs no SVD of the wide blocks, and certifies its own residual.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -169,7 +171,7 @@ class ZipupResult:
 
 def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
                     hint: Optional[SweepHint] = None):
-    """One cut of the zip-up: the kept u, s, vh with s scaled to unit norm,
+    """One cut of a sweep: the kept u, s, vh with s scaled to unit norm,
     the log of that norm, and the dropped fraction of the block's weight."""
     u, s, vh, w = svd_truncate(theta, chi_max, cutoff, hint=hint)
     total = float(np.sum(s ** 2)) + w
@@ -179,9 +181,9 @@ def _truncate_event(theta: np.ndarray, chi_max: int, cutoff: float,
 
 
 def _absorb(zipper: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One site taken into a left-to-right sweep: ``zipper`` (c, wl, al),
-    the zip-up's carry or the fit's left environment, contracted with the
-    state tensor ``A`` and the MPO tensor ``W`` into (c, pout, wr, ar)."""
+    """One site taken into the left-to-right sweep: the carry ``zipper``
+    (c, wl, al) contracted with the state tensor ``A`` and the MPO tensor
+    ``W`` into (c, pout, wr, ar)."""
     (c, wl, al), ar, wr = zipper.shape, A.shape[2], W.shape[3]
     # plain matrix products on the operand layouts np.tensordot builds, so
     # the rounding is tensordot's
@@ -191,9 +193,39 @@ def _absorb(zipper: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return theta.reshape(c, ar, 4, wr).transpose(0, 2, 3, 1)
 
 
+def _sweep(op: TemporalMpo, psi: TemporalMps, split: Callable):
+    """The left-to-right sweep of an MPO application, as (sites, norm_log,
+    summed dropped fractions).
+
+    Each site is absorbed into the carry (``_absorb``), and ``split`` turns
+    the (c pout, wr ar) block into a left isometry, the next carry, the log
+    of the norm taken off it, and the fraction of the block's weight it
+    dropped.  The last site is kept whole.
+    """
+    if op.T != psi.T:
+        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
+    norm_log = psi.norm_log
+    discarded = 0.0
+    out: List[np.ndarray] = []
+    # the carry is (new bond, mpo bond, mps bond); real inputs keep the
+    # sweep and its factorizations in float64
+    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    for i, (A, W) in enumerate(zip(psi.tensors, op.tensors)):
+        theta = _absorb(zipper, A, W)
+        c, _, wr, ar = theta.shape
+        if i == psi.T - 1:
+            out.append(theta.reshape(c, 4, wr * ar))
+            break
+        u, carry, log_norm, frac = split(theta.reshape(c * 4, wr * ar))
+        norm_log += log_norm
+        discarded += frac
+        out.append(u.reshape(c, 4, -1))
+        zipper = carry.reshape(-1, wr, ar)
+    return out, norm_log, discarded
+
+
 def _compress_leftward(out: List[np.ndarray], norm_log: float,
-                       discarded: float, chi_max: int,
-                       cutoff: float) -> ZipupResult:
+                       discarded: float, cutoff: float) -> ZipupResult:
     """The right-to-left sweep that ends a zip-up and a fit.
 
     Every site of ``out`` left of the last is a left isometry, so when bond
@@ -201,10 +233,10 @@ def _compress_leftward(out: List[np.ndarray], norm_log: float,
     right of it already right-isometric: the kept values are the Schmidt
     values of the returned state, up to the cutoff-level truncations the
     sweep makes further left afterwards, and ``entropies`` holds their von
-    Neumann entropies.  No bond of ``out`` is wider than chi_max, so the
-    sweep never meets the cap; it drops only values below max(``cutoff``,
-    round-off floor) * s_0, its dropped fractions added to ``discarded``.
-    Its blocks have a side of at most chi_max and go to gesdd.  The
+    Neumann entropies.  No bond of ``out`` is wider than the cap already,
+    so each cut is capped at its block's row count, which never binds; it
+    drops only values below max(``cutoff``, round-off floor) * s_0, its
+    dropped fractions added to ``discarded``.  Its blocks go to gesdd.  The
     result is canonical about site 0.
     """
     T = len(out)
@@ -212,7 +244,7 @@ def _compress_leftward(out: List[np.ndarray], norm_log: float,
     for i in range(T - 1, 0, -1):
         chi_l, _, chi_r = out[i].shape
         u, s, vh, log_norm, frac = _truncate_event(
-            out[i].reshape(chi_l, 4 * chi_r), chi_max, cutoff)
+            out[i].reshape(chi_l, 4 * chi_r), chi_l, cutoff)
         norm_log += log_norm
         discarded += frac
         entropies[i - 1] = _schmidt_entropy(s)
@@ -227,41 +259,22 @@ def apply_mpo_zipup(op: TemporalMpo, psi: TemporalMps, chi_max: int,
                     cutoff: float = 0.0) -> ZipupResult:
     """Compressed application op|psi> by the zip-up method.
 
-    Left-to-right sweep with truncation while the MPO is being absorbed
-    (peak intermediate bond stays <= chi * mpo bond), then one right-to-left
-    compression sweep (``_compress_leftward``), whose kept values give the
-    entropies: no extra SVD, no extra pass.  The first sweep leaves every
-    bond at most chi_max wide and its sites left isometries.  Total
-    discarded weight is the accumulated relative dropped fraction over all
-    truncation events.  The result is canonical about site 0.
-
+    The left-to-right sweep (``_sweep``) cuts each block to chi_max as it
+    absorbs the MPO, so the peak intermediate bond stays <= chi * mpo bond
+    and every bond ends at most chi_max wide; the right-to-left sweep
+    (``_compress_leftward``) gives the entropies with no extra SVD.  The
+    discarded weight is the summed relative dropped fraction of every cut.
     The cuts of the first sweep share one ``SweepHint``: after a cut that
     kept ``chi_max`` values the cap likely decides the next one too, and
     ``svd_truncate`` may then take it from the Gram matrix.
     """
-    if op.T != psi.T:
-        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
-    T = psi.T
-    norm_log = psi.norm_log
-    discarded = 0.0
-    out: List[np.ndarray] = []
-    # zipper carries (new bond, mpo bond, mps bond); real inputs keep the
-    # sweep and its SVDs in float64
-    zipper = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
     hint = SweepHint()
-    for i in range(T):
-        theta = _absorb(zipper, psi.tensors[i], op.tensors[i])
-        c, _, wr, ar = theta.shape
-        if i == T - 1:
-            out.append(theta.reshape(c, 4, wr * ar))
-            break
-        u, s, vh, log_norm, frac = _truncate_event(
-            theta.reshape(c * 4, wr * ar), chi_max, cutoff, hint)
-        norm_log += log_norm
-        discarded += frac
-        out.append(u.reshape(c, 4, -1))
-        zipper = (s[:, None] * vh).reshape(-1, wr, ar)
-    return _compress_leftward(out, norm_log, discarded, chi_max, cutoff)
+
+    def cut(block):
+        u, s, vh, log_norm, frac = _truncate_event(block, chi_max, cutoff, hint)
+        return u, s[:, None] * vh, log_norm, frac
+
+    return _compress_leftward(*_sweep(op, psi, cut), cutoff)
 
 
 @dataclass
@@ -321,43 +334,13 @@ def _log_norm2_of_product(op: TemporalMpo, psi: TemporalMps) -> float:
     return log_scale + math.log(abs(float(env.real.reshape(-1)[0])))
 
 
-def apply_mpo_fit(op: TemporalMpo, psi: TemporalMps, chi_max: int,
-                  cutoff: float = 0.0) -> FitResult:
-    """op|psi> by one variational sweep warm-started from ``psi``.
-
-    ``psi`` must be canonical at site 0, as every zip-up leaves it, so its
-    sites right of 0 are right isometries.  Three steps:
-
-    1. the right environments <psi|op|psi> of the input, T - 1 of them;
-    2. one optimizing left-to-right sweep: site i's tensor is the one that
-       brings the state closest to op|psi> with the sites left of it fixed
-       and those right of it those of ``psi``, contracted from the left
-       environment, ``psi``'s site, the MPO tensor and the right
-       environment; a thin QR keeps its isometry, and the left environment
-       moves on by it.  The last site keeps its tensor M_{T-1};
-    3. the zip-up's own right-to-left sweep (``_compress_leftward``).
-
-    A bond is never wider than ``psi``'s, so none reaches beyond chi_max,
-    ``cutoff`` acts as in the zip-up, and the entropies are the Schmidt
-    values of the returned state.  After step 2 the state is the
-    orthogonal projection of op|psi> onto the states with those left
-    isometries, so its relative residual is exactly 1 - ||M_{T-1}||^2 /
-    ||op psi||^2, the latter from one double-layer sandwich
-    (``_log_norm2_of_product``).  That is ``residual``; it reads a few
-    1e-14 either side of 0 where the fit is exact to round-off.  Each right
-    environment is freed once the sweep has used it.
-    """
-    if op.T != psi.T:
-        raise ValueError(f"length mismatch: mpo {op.T} vs mps {psi.T}")
-    if psi.canonical_center != 0:
-        raise ValueError("the fit starts from a state canonical at site 0")
-    T = psi.T
-    dtype = np.result_type(*op.tensors, *psi.tensors)
-    # envs[i]: sites i+1..T-1 as (bra bond, mpo bond, ket bond), unit norm
-    envs: List[Optional[np.ndarray]] = [None] * T
-    env = np.ones((1, 1, 1), dtype=dtype)
-    envs[T - 1] = env
-    for i in range(T - 1, 0, -1):
+def _right_environments(op: TemporalMpo, psi: TemporalMps) -> Iterator[np.ndarray]:
+    """<psi|op|psi> over sites i+1..T-1 for i = 0..T-2, each (bra, mpo,
+    ket bond) of unit norm, built right to left on the first ``next`` (so
+    after ``_sweep``'s length check) and let go once yielded."""
+    envs: List[np.ndarray] = []
+    env = np.ones((1, 1, 1), dtype=np.result_type(*op.tensors, *psi.tensors))
+    for i in range(psi.T - 1, 0, -1):
         A, W = psi.tensors[i], op.tensors[i]
         al, _, ar = A.shape
         wl, wr = W.shape[0], W.shape[3]
@@ -370,28 +353,50 @@ def apply_mpo_fit(op: TemporalMpo, psi: TemporalMps, chi_max: int,
         env = np.dot(A.conj().reshape(al, 4 * ar), t.T).reshape(al, wl, al)
         nrm = float(np.linalg.norm(env))
         env = env / nrm if nrm > 0.0 else env
-        envs[i - 1] = env
-    norm_log = psi.norm_log
-    out: List[np.ndarray] = []
-    zipper = np.ones((1, 1, 1), dtype=dtype)
-    for i in range(T):
-        theta = _absorb(zipper, psi.tensors[i], op.tensors[i])
-        c, _, wr, ar = theta.shape
-        if i == T - 1:
-            out.append(theta.reshape(c, 4, wr * ar))
-            break
-        block = theta.reshape(c * 4, wr * ar)
-        right, envs[i] = envs[i], None
-        q = np.linalg.qr(np.dot(block, right.reshape(-1, wr * ar).T))[0]
-        out.append(q.reshape(c, 4, -1))
-        zipper = np.dot(q.conj().T, block)
-        nrm = float(np.linalg.norm(zipper))
-        if nrm > 0.0:
-            zipper = zipper / nrm
-            norm_log += math.log(nrm)
-        zipper = zipper.reshape(-1, wr, ar)
+        envs.append(env)
+    while envs:
+        yield envs.pop()
+
+
+def apply_mpo_fit(op: TemporalMpo, psi: TemporalMps,
+                  cutoff: float = 0.0) -> FitResult:
+    """op|psi> by one variational sweep warm-started from ``psi``.
+
+    ``psi`` must be canonical at site 0, as every zip-up leaves it, so its
+    sites right of 0 are right isometries.  Three steps:
+
+    1. the right environments <psi|op|psi> of the input
+       (``_right_environments``);
+    2. the left-to-right sweep (``_sweep``) with a projection in place of
+       the cut: each block, contracted with its right environment, gives by
+       a thin QR the left isometry that brings the state closest to op|psi>
+       with the sites right of it those of ``psi``, and the carry is the
+       block projected on it.  The last site keeps its tensor M_{T-1};
+    3. the zip-up's own right-to-left sweep (``_compress_leftward``).
+
+    A bond is never wider than ``psi``'s, ``cutoff`` acts as in the
+    zip-up, and the entropies are the Schmidt values of the returned state.
+    After step 2 the state is the orthogonal projection of op|psi> onto the
+    states with those left isometries, so its relative residual is exactly
+    1 - ||M_{T-1}||^2 / ||op psi||^2, the latter from one double-layer
+    sandwich (``_log_norm2_of_product``).  That is ``residual``; it reads a
+    few 1e-14 either side of 0 where the fit is exact to round-off.
+    """
+    if psi.canonical_center != 0:
+        raise ValueError("the fit starts from a state canonical at site 0")
+    envs = _right_environments(op, psi)
+
+    def project(block):
+        q = np.linalg.qr(np.dot(block, next(envs).reshape(-1, block.shape[1]).T))[0]
+        carry = np.dot(q.conj().T, block)
+        nrm = float(np.linalg.norm(carry))
+        if nrm == 0.0:
+            return q, carry, 0.0, 0.0
+        return q, carry / nrm, math.log(nrm), 0.0
+
+    out, norm_log, _ = _sweep(op, psi, project)
     last = float(np.vdot(out[-1], out[-1]).real)
     kept = 2.0 * (norm_log - psi.norm_log) + (math.log(last) if last > 0 else -math.inf)
     residual = 1.0 - math.exp(kept - _log_norm2_of_product(op, psi))
-    r = _compress_leftward(out, norm_log, residual, chi_max, cutoff)
+    r = _compress_leftward(out, norm_log, residual, cutoff)
     return FitResult(r.psi, r.discarded_weight, r.entropies, "fit", residual)

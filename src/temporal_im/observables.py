@@ -52,7 +52,6 @@ class InsertionPlan:
 
 @dataclass
 class ResultSeries:
-    name: str
     abscissa: np.ndarray
     values: np.ndarray
     extras: Dict[str, object] = field(default_factory=dict)
@@ -265,7 +264,7 @@ def _site_im(im: InfluenceMatrix, chi_max: int, cutoff: float,
     return imp, floquet_kernel(spec, "impurity_site")
 
 
-def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
+def _z_series(spec: ModelSpec, base: List[Insertion], chi_max: int,
               cutoff: float, boundary: str, reuse_im: bool,
               im_sink: Optional[list]) -> ResultSeries:
     """Forward sigma^z at time k after the time-0 entries ``base``, for
@@ -299,8 +298,7 @@ def _z_series(name: str, spec: ModelSpec, base: List[Insertion], chi_max: int,
             plan = InsertionPlan(base + [Insertion(grown.T, "forward", "z")])
             add([temporal_contract(im, kern, plan)], im)
     step = spec.eps if spec.eps > 0 else 1.0
-    return ResultSeries(name, np.arange(spec.T + 1) * step, np.asarray(values),
-                        extras)
+    return ResultSeries(np.arange(spec.T + 1) * step, np.asarray(values), extras)
 
 
 def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
@@ -320,8 +318,8 @@ def autocorrelator_series(spec: ModelSpec, chi_max: int, cutoff: float = 0.0,
     """
     if spec.initial_state != "infinite_temperature":
         raise ValueError("autocorrelator needs the infinite-temperature state")
-    return _z_series("autocorrelator", spec, [Insertion(0, "forward", "z")],
-                     chi_max, cutoff, boundary, reuse_im, im_sink)
+    return _z_series(spec, [Insertion(0, "forward", "z")], chi_max, cutoff,
+                     boundary, reuse_im, im_sink)
 
 
 def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
@@ -332,19 +330,18 @@ def quench_magnetization_series(J: float, g: float, h: float, t_max: float,
     """<sigma^z_0(t)> after a quench from the fully z-polarized state; the
     options are those of ``autocorrelator_series``."""
     spec = trotterize(J, g, h, t_max, eps, initial_state="z_polarized_up")
-    return _z_series("quench-magnetization", spec, [], chi_max, cutoff,
-                     boundary, reuse_im, im_sink)
+    return _z_series(spec, [], chi_max, cutoff, boundary, reuse_im, im_sink)
 
 
 def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
                    cutoff: float = 0.0, *, boundary: str = "open",
-                   abscissa: Optional[Sequence[float]] = None,
                    im_sink: Optional[list] = None) -> ResultSeries:
     """Half-cut and max temporal entanglement of converged IMs.
 
     Each parameter point is solved at every chi in chi_list (ascending);
     the reported value comes from the largest chi, and the point counts as
-    chi-converged when the two largest chis agree within 2%.
+    chi-converged when the two largest chis agree within 2%.  The abscissa
+    is each point's eps, or its T where eps is 0 (a Floquet spec).
     """
     chis = sorted(chi_list)
     values: List[complex] = []
@@ -367,6 +364,5 @@ def entropy_series(specs: Sequence[ModelSpec], chi_list: Sequence[int],
             len(halves) < 2
             or abs(half - halves[-2]) / max(abs(half), 1e-30) <= 0.02)
     extras["by_chi"] = by_chi
-    xs = (np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
-          if abscissa is None else np.asarray(abscissa, dtype=float))
-    return ResultSeries("temporal-entropy", xs, np.asarray(values), extras)
+    xs = np.asarray([s.eps if s.eps > 0 else s.T for s in specs], dtype=float)
+    return ResultSeries(xs, np.asarray(values), extras)

@@ -427,7 +427,7 @@ def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,
     if plan is not None:
         rho = _initial_rho(spec, L)
         val = _evolve_density_with_plan(spec, plan, rho, D, K, Kh, L, zv)
-        return ResultSeries("chain-ed-plan", abscissa[-1:], np.array([val]), meta)
+        return ResultSeries(abscissa[-1:], np.array([val]), meta)
 
     if spec.initial_state == "z_polarized_up":
         v = np.zeros(dim, dtype=complex)
@@ -442,8 +442,7 @@ def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,
                 v = D * v
                 v = _apply_kick_rows(v[:, None], K, L)
             out.append(np.real(np.vdot(v, zc * v)))
-        return ResultSeries("chain-ed-quench", abscissa,
-                            np.asarray(out, dtype=complex), meta)
+        return ResultSeries(abscissa, np.asarray(out, dtype=complex), meta)
 
     # infinite temperature: C(T') = sum_{a,s} z_a |U_{as}|^2 z_s / 2^L
     U = np.eye(dim, dtype=complex)
@@ -458,7 +457,7 @@ def ed_chain_evolve(spec: ModelSpec, L: int, plan=None,
             U = _apply_kick_rows(U, K, L)
         W = U.real ** 2 + U.imag ** 2
         out.append(float(zc @ (W @ zc)) / dim)
-    return ResultSeries("chain-ed-czz", abscissa, np.asarray(out, dtype=complex), meta)
+    return ResultSeries(abscissa, np.asarray(out, dtype=complex), meta)
 
 
 def _initial_rho(spec: ModelSpec, L: int) -> np.ndarray:
@@ -536,8 +535,7 @@ def ed_disorder_monte_carlo(spec: ModelSpec, L: int, samples: int, seed: int):
     mean = acc / samples
     var = np.maximum(acc2 / samples - mean ** 2, 0.0)
     sem = np.sqrt(var / max(samples - 1, 1))
-    out = ResultSeries("chain-ed-disorder-mc",
-                       np.arange(spec.T + 1, dtype=float),
+    out = ResultSeries(np.arange(spec.T + 1, dtype=float),
                        mean.astype(complex),
                        {"L": L, "samples": samples, "seed": seed,
                         "generator": "philox(seed, index)"})

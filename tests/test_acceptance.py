@@ -138,7 +138,7 @@ def test_criterion_4_entanglement_barrier(capsys):
 def test_criterion_6_trotter_entropy_scaling(capsys):
     eps = [0.04, 0.02, 0.01]
     specs = [trotterize(1.0, math.sqrt(2.0), 0.681, 2.0, e) for e in eps]
-    ser = entropy_series(specs, [32, 64], cutoff=0.0, abscissa=eps)
+    ser = entropy_series(specs, [32, 64], cutoff=0.0)
     s = ser.values.real
     ratios = (s[0] / s[1], s[1] / s[2])
     conv = ser.extras["chi_converged"]
@@ -243,7 +243,7 @@ def test_criterion_10_dtc_entropy_scaling(capsys):
     Ts = [8, 12, 16, 24, 32]
     specs = [ModelSpec(J=1.0, g=math.pi / 2 - 0.1, h=0.3, T=T,
                        disorder="uniform_J_0_2pi") for T in Ts]
-    ser = entropy_series(specs, [32, 64], cutoff=1e-12, abscissa=Ts)
+    ser = entropy_series(specs, [32, 64], cutoff=1e-12)
     y = ser.values.real
     slope, r2 = _fit_loglinear(np.log(np.asarray(Ts, float)), y)
     by = ser.extras["by_chi"]

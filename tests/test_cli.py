@@ -56,7 +56,7 @@ def test_parse_config_rejections():
 
 
 def test_csv_writer_format(tmp_path):
-    ser = ResultSeries("demo", np.array([0.0, 1.0]),
+    ser = ResultSeries(np.array([0.0, 1.0]),
                        np.array([1.0 + 0j, 0.5 - 0.25j]),
                        {"entropy_halfcut": [float("nan"), 0.125],
                         "entropy_max": [float("nan"), 0.25],

@@ -351,6 +351,8 @@ def test_disorder_slice_mpo_matches_dense_average():
                      disorder="uniform_J_0_2pi")
     sl = build_disorder_slice(spec)
     assert np.max(np.abs(sl.dense() - oracles.dense_disorder_slice(spec))) < 1e-13
+    with pytest.raises(ValueError, match="no uniform coupling disorder"):
+        build_disorder_slice(replace(spec, disorder=None))
 
 
 def test_disorder_constraint_bond_is_bounded():
@@ -586,12 +588,15 @@ def test_real_slice_step_is_the_slice(spec):
 
 
 def test_impurity_on_a_disorder_average_raises():
-    """An exactly averaged IM has no single bond coupling to scale."""
+    """An exactly averaged IM has no single bond coupling to scale, and a
+    spec without an impurity has no impurity bond."""
     spec = ModelSpec(J=1.0, g=math.pi / 2 - 0.1, h=0.3, T=4,
                      disorder="uniform_J_0_2pi", impurity=Impurity(0.5, 0.8))
     base = solve_im(spec, chi_max=16, cutoff=1e-12)
     with pytest.raises(ValueError, match="disorder"):
         impurity_im(spec, base, 16, 1e-12)
+    with pytest.raises(ValueError, match="no impurity"):
+        impurity_im(replace(spec, impurity=None), base, 16, 1e-12)
 
 
 @pytest.mark.parametrize("J, singular", [

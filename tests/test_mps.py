@@ -69,12 +69,17 @@ def test_canonicalize_preserves_vector_and_records_norm():
         A = can.tensors[t]
         m = A.reshape(A.shape[0], -1)
         assert np.allclose(m @ m.conj().T, np.eye(A.shape[0]), atol=1e-10)
+    for center in (-1, 5):
+        with pytest.raises(ValueError, match="outside chain of length 5"):
+            canonicalize(psi, center)
 
 
 def test_overlap_matches_dense():
     a, b = random_mps(4, 3), random_mps(4, 5)
     want = np.vdot(a.dense(), b.dense())
     assert np.isclose(overlap(a, b), want, rtol=1e-10)
+    with pytest.raises(ValueError, match="length mismatch: 4 vs 3"):
+        overlap(a, random_mps(3, 3))
 
 
 def test_mps_norm_matches_dense():
@@ -108,6 +113,8 @@ def test_zipup_matches_dense_application():
     res = apply_mpo_zipup(op, psi, chi_max=256, cutoff=0.0)
     want = op.dense() @ psi.dense()
     assert np.allclose(res.psi.dense(), want, atol=1e-9 * np.linalg.norm(want))
+    with pytest.raises(ValueError, match="length mismatch: mpo 3 vs mps 4"):
+        apply_mpo_zipup(TemporalMpo(op.tensors[:-1]), psi, chi_max=256)
 
 
 def test_zipup_stays_real_on_real_inputs():
@@ -209,7 +216,7 @@ def test_fit_certifies_its_residual(case):
     is wider than the input's, and the result is canonical at site 0."""
     op, psi, chi = _cap_bound_input(case)
     assert psi.max_bond() == chi and psi.canonical_center == 0
-    f = apply_mpo_fit(op, psi, chi, cutoff=0.0)
+    f = apply_mpo_fit(op, psi, cutoff=0.0)
     want = apply_mpo_zipup(op, psi, 10 ** 6).psi.dense()  # exact op|psi>
     err = np.linalg.norm(want - f.psi.dense()) ** 2 / np.linalg.norm(want) ** 2
     assert f.residual > 1e-6 and abs(f.residual - err) < 1e-12
@@ -220,7 +227,10 @@ def test_fit_certifies_its_residual(case):
     assert f.psi.canonical_center == 0
     # the input must be canonical at site 0
     with pytest.raises(ValueError, match="canonical at site 0"):
-        apply_mpo_fit(op, TemporalMps(psi.tensors, psi.norm_log), chi)
+        apply_mpo_fit(op, TemporalMps(psi.tensors, psi.norm_log))
+    # and as long as the MPO
+    with pytest.raises(ValueError, match="length mismatch"):
+        apply_mpo_fit(TemporalMpo(op.tensors[:-1]), psi)
 
 
 def test_zipup_single_site_has_no_bonds():

@@ -151,7 +151,7 @@ def test_series_extras_columns():
 
 def test_entropy_series_reports_chi_convergence():
     specs = [ModelSpec(J=0.31, g=0.57, h=0.23, T=T) for T in (2, 3)]
-    ser = entropy_series(specs, [8, 64], cutoff=0.0, abscissa=[2, 3])
+    ser = entropy_series(specs, [8, 64], cutoff=0.0)
     assert len(ser.values) == 2
     assert ser.extras["chi_converged"] == [True, True]
     assert set(ser.extras["by_chi"]) == {8, 64}
