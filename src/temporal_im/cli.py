@@ -272,8 +272,8 @@ class SolveSummary:
 
     It is the ``im_sink`` of the CSV's series: each IM is folded in as it
     is made and not kept.  Fields are maxima, counts and an exactly rounded
-    sum, so the order of the IMs does not matter.  Solves are the
-    ``solve_im`` and ``grow_ims`` results.  A power-iteration solve adds
+    sum, so the order of the IMs does not matter.  Solves are the IMs
+    ``made_by`` "solve" or "growth".  A power-iteration solve adds
     every iteration's discarded weight and its final deficit.  A grown IM
     and an impurity IM each extend the IM before them by one slice, so
     they add only the last entry of their weight record, and neither
@@ -296,12 +296,12 @@ class SolveSummary:
         routes = d.get("route", [])
         self.fit_applications += routes.count("fit")
         self.fit_refused += routes.count("fit_refused")
-        if "deficit" in d:
+        if im.made_by == "solve":
             self.max_final_deficit = max(self.max_final_deficit, d["deficit"][-1])
             self._weights.extend(d["discarded_weight"])
         else:
             self._weights.append(d["discarded_weight"][-1])
-        if "impurity_drift" in d:
+        if im.made_by == "impurity":
             return
         self.solves += 1
         self.converged += bool(im.converged)

@@ -309,6 +309,8 @@ class InfluenceMatrix:
     iterations_applied: int
     converged: bool
     diagnostics: Dict[str, list] = field(default_factory=dict)
+    # the solver: "solve", "growth" or "impurity" (None: built by hand)
+    made_by: Optional[str] = None
 
     @property
     def T(self) -> int:
@@ -372,16 +374,18 @@ def _normalize_trace(im: InfluenceMatrix) -> None:
     im.diagnostics.setdefault("trace_residual", []).append(abs(c - 1.0))
     im.psi.norm_log -= 0.5 * float(np.log(abs(c)))
     phase = c / abs(c)
-    im.psi.tensors[0] = im.psi.tensors[0] * phase ** -0.5
+    # continuous through c = -1, where round-off in Im c would pick the sign
+    root = phase ** -0.5 if phase.real >= 0 else -1j * (-phase) ** -0.5
+    im.psi.tensors[0] = im.psi.tensors[0] * root
 
 
 def _influence_matrix(psi: TemporalMps, phase: complex, spec: ModelSpec,
                       iterations: int, converged: bool,
-                      diag: Dict[str, list]) -> InfluenceMatrix:
-    """The IM of the real-basis state ``psi``: rotated back to the folded
-    z basis with ``phase`` (``_folded_mps``), then trace-normalised."""
+                      diag: Dict[str, list], made_by: str) -> InfluenceMatrix:
+    """The IM of the real-basis state ``psi`` from the solver ``made_by``:
+    rotated to the folded z basis with ``phase``, then trace-normalised."""
     im = InfluenceMatrix(_folded_mps(psi, phase), spec, iterations, converged,
-                         diag)
+                         diag, made_by)
     _normalize_trace(im)
     return im
 
@@ -393,8 +397,9 @@ def solve_im(spec: ModelSpec, boundary: str = "open", *, chi_max: int,
 
     Per-iteration diagnostics (overlap deficit, norm drift, bond entropy
     profile with its max and half-cut values, max bond, discarded weight,
-    and the route: "zipup", "fit" or "fit_refused", see ``_SliceMpo``) are
-    collected on the returned object.  ``max_iters`` defaults to the
+    route: "zipup", "fit" or "fit_refused") are collected on the returned
+    object, and on a clean slice ``fit_bound``, the bound a next application
+    would fit under (see ``_SliceMpo``).  ``max_iters`` defaults to the
     light-cone count n_lc (ceil(T/2), or T from a polarized state) plus 2;
     drift above ``drift_limit`` from iteration n_lc on means truncation has
     destabilized the iteration and raises.  ``cutoff=0`` keeps every
@@ -409,10 +414,9 @@ def solve_im(spec: ModelSpec, boundary: str = "open", *, chi_max: int,
         max_iters = n_lc + 2
     step = _real_slice(spec)
     psi, phase = _real_mps(boundary_mps(boundary, T))
-    diag: Dict[str, list] = {k: [] for k in
-                             ("deficit", "drift", "entropy_profile", "entropy_max",
-                              "entropy_halfcut", "max_bond", "discarded_weight",
-                              "route")}
+    diag: Dict[str, list] = {k: [] for k in (
+        "deficit", "drift", "entropy_profile", "entropy_max", "entropy_halfcut",
+        "max_bond", "discarded_weight", "route")}
     prev_log = _log_norm(psi)
     converged = False
     iters = 0
@@ -434,7 +438,9 @@ def solve_im(spec: ModelSpec, boundary: str = "open", *, chi_max: int,
         if deficit < tol:
             converged = True
             break
-    return _influence_matrix(psi, phase, spec, iters, converged, diag)
+    if isinstance(step, _SliceMpo):
+        diag["fit_bound"] = step.bound
+    return _influence_matrix(psi, phase, spec, iters, converged, diag, "solve")
 
 
 # the least impurity_map_margin(J_eff) at which impurity_im maps the bulk IM
@@ -481,10 +487,10 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     the bulk slice leaves its fixed point in place, so the impurity IM is
     the map applied to ``base``: one zip-up of bond dimension 1, whose cuts
     never reach chi_max.  On a grown IM this is exact up to the growth
-    step's truncation.  On a power-iteration solve (a base that records
-    its routes) the map goes on one more application of the bulk slice,
-    made as the solve would make its next one (a fit at the cap, under the
-    bound of the solve's last zip-up; see ``_SliceMpo``), so the result is
+    step's truncation.  On a power-iteration solve (``made_by`` "solve")
+    the map goes on one more application of the bulk slice, made as the
+    solve would make its next one (a fit at the cap, under the solve's
+    ``fit_bound``; see ``_SliceMpo``), so the result is
     the impurity slice applied to the last iterate, whose own deficit is
     below the solve's tolerance.  beta = 0 decouples the environment (flat
     IM), beta = 1 leaves ``base`` as it is.  The diagnostics hold the
@@ -518,24 +524,18 @@ def impurity_im(spec: ModelSpec, base: InfluenceMatrix, chi_max: int,
     # base.psi carries the phase _normalize_trace gave it: off for the real
     # basis, back on after, so the sign the normalisation picks is unchanged
     psi, phase = _real_mps(base.psi)
-    before = _log_norm(psi)
-    diag: Dict[str, list] = {
-        "discarded_weight": list(base.diagnostics.get("discarded_weight", []))}
+    diag = {"discarded_weight": list(base.diagnostics["discarded_weight"])}
     weight = 0.0
-    routes = base.diagnostics.get("route")
-    if routes:  # a solve: one more bulk application, by the solve's rule
-        step = _real_slice(spec)
-        step.bound = [w for w, route in zip(diag["discarded_weight"], routes)
-                      if route != "fit"][-1]
+    if base.made_by == "solve":  # one more bulk application, by its rule
+        step = replace(_real_slice(spec), bound=base.diagnostics["fit_bound"])
         r = step.apply(psi, chi_max, cutoff)
         psi, weight, diag["route"] = r.psi, r.discarded_weight, [r.route]
     r = apply_mpo_zipup(_real_mpo(_impurity_map(spec), _folded_bond), psi,
                         chi_max, cutoff)
-    diag["impurity_drift"] = [abs(_log_norm(r.psi) - before)]
     diag["discarded_weight"].append(weight + r.discarded_weight)
     _record_entropies(diag, r.psi, r.entropies)
     return _influence_matrix(r.psi, phase, spec, base.iterations_applied + 1,
-                             base.converged, diag)
+                             base.converged, diag, "impurity")
 
 
 def grow_ims(spec: ModelSpec, chi_max: int,
@@ -568,4 +568,4 @@ def grow_ims(spec: ModelSpec, chi_max: int,
         psi, weights = r.psi, weights + [r.discarded_weight]
         diag: Dict[str, list] = {"discarded_weight": weights}
         _record_entropies(diag, psi, r.entropies)
-        yield _influence_matrix(psi, 1.0, sub, 1, True, diag)
+        yield _influence_matrix(psi, 1.0, sub, 1, True, diag, "growth")

@@ -15,14 +15,15 @@ def im_bits(im: InfluenceMatrix) -> tuple:
     """Everything ``im`` holds, compared bit for bit when two results are
     compared: each ``psi`` tensor's shape, dtype and bytes, ``norm_log``,
     ``canonical_center``, the iteration count, ``converged``,
-    ``diagnostics`` and ``spec``.  The impurity's alpha is set to 0 in the
-    spec, since an IM does not depend on it."""
+    ``diagnostics``, ``spec`` and ``made_by``.  The impurity's alpha is set
+    to 0 in the spec, since an IM does not depend on it."""
     psi, spec = im.psi, im.spec
     if spec.impurity is not None:
         spec = replace(spec, impurity=replace(spec.impurity, alpha=0.0))
     return ([(t.shape, t.dtype.str, t.tobytes()) for t in psi.tensors],
             float(psi.norm_log).hex(), psi.canonical_center,
-            im.iterations_applied, im.converged, im.diagnostics, spec)
+            im.iterations_applied, im.converged, im.diagnostics, spec,
+            im.made_by)
 
 
 def czz_plan(T: int) -> InsertionPlan:

@@ -309,7 +309,7 @@ def test_criterion_5_trace_preservation(capsys):
     assert REGISTRY, "registry is empty: earlier criteria did not run"
     worst = 0.0
     for im in REGISTRY:
-        role = "impurity_site" if "impurity_drift" in im.diagnostics else "bulk"
+        role = "impurity_site" if im.made_by == "impurity" else "bulk"
         kern = floquet_kernel(im.spec, role)
         val = temporal_contract(im, kern)
         worst = max(worst, abs(val - 1.0))

@@ -452,7 +452,8 @@ def test_manifest_solve_summary(tmp_path, monkeypatch):
     autocorrelator_series(cli._spec_for(parse_config_text(TINY_IMPURITY)), 4,
                           0.0, im_sink=ims)
     grown, slices = ims[0::2], ims[1::2]
-    assert all("impurity_drift" in im.diagnostics for im in slices)
+    assert all(im.made_by == "growth" for im in grown)
+    assert all(im.made_by == "impurity" for im in slices)
     steps = [im.diagnostics["discarded_weight"][-1] for im in grown]
     assert grown[-1].diagnostics["discarded_weight"] == steps
     total = math.fsum(steps + [im.diagnostics["discarded_weight"][-1] for im in slices])

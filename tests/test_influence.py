@@ -252,6 +252,11 @@ def test_impurity_im_records_entropies_and_all_weights():
                      impurity=Impurity(alpha=0.5, beta=0.8))
     base = solve_im(spec, chi_max=6, cutoff=0.0)
     imp = impurity_im(spec, base, chi_max=6, cutoff=0.0)
+    assert (base.made_by, imp.made_by) == ("solve", "impurity")
+    # the solve's fit bound is the discarded weight of its last zip-up
+    zipups = [w for w, route in zip(base.diagnostics["discarded_weight"],
+                                    base.diagnostics["route"]) if route != "fit"]
+    assert base.diagnostics["fit_bound"] == zipups[-1]
     d = imp.diagnostics
     prof = entropy_profile(imp.psi)
     assert np.max(np.abs(np.asarray(d["entropy_profile"][-1]) - prof)) < 1e-12
@@ -291,7 +296,8 @@ def test_reuse_impurity_im_carries_no_solve_tolerance():
 def test_refused_fits_leave_the_zipup_solve(monkeypatch):
     """With the fit's bound forced to 0 every application at the cap is
     refused and zipped up: the solve is bit for bit the zip-up-only solve,
-    apart from the route record."""
+    apart from the route record and the fit bound, which the zip-up-only
+    solve never sets."""
     spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=8)
     solve = lambda: solve_im(spec, chi_max=6, cutoff=1e-12, tol=0.0)
     monkeypatch.setattr(influence, "_FIT_SLACK", 0.0)
@@ -303,6 +309,10 @@ def test_refused_fits_leave_the_zipup_solve(monkeypatch):
     plain = solve()
     routes = refused.diagnostics.pop("route")
     assert plain.diagnostics.pop("route") == ["zipup"] * len(routes)
+    assert plain.diagnostics.pop("fit_bound") is None
+    # every application at the cap zipped up: the bound is the last one's
+    bound = refused.diagnostics.pop("fit_bound")
+    assert bound == refused.diagnostics["discarded_weight"][-1] > 0.0
     n = routes.index("fit_refused")  # zip-ups until the input meets the cap
     assert routes == ["zipup"] * n + ["fit_refused"] * (len(routes) - n)
     assert len(routes) - n >= 3
@@ -517,11 +527,11 @@ def test_real_impurity_slice_matches_complex_path():
                      impurity=Impurity(alpha=0.5, beta=0.6))
     base = solve_im(spec, chi_max=256, cutoff=0.0)
     op = _impurity_map(spec)  # in the folded z basis
-    # the base's global phase survives the real basis; the trace
-    # normalisation fixes the result only up to sign (phases whose square
-    # is near -1 are left out: there the sign is round-off)
+    # the base's global phase survives the real basis, and the trace
+    # normalisation's sign does not turn on round-off where its square is -1
     first = base.psi.tensors[0]
-    for phase in (1.0, np.exp(0.7j), -1.0, np.exp(2.5j), np.exp(-2.0j)):
+    for phase in (1.0, np.exp(0.7j), -1.0, np.exp(2.5j), np.exp(-2.0j),
+                  1j, -1j):
         base.psi.tensors[0] = first * phase
         im = impurity_im(spec, base, chi_max=256, cutoff=0.0)
         ref = InfluenceMatrix(apply_mpo_zipup(op, base.psi, 256).psi, spec, 0, True)

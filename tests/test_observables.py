@@ -67,6 +67,20 @@ def test_contract_matches_dense_kernel_sum(spec):
         assert np.isclose(got, want, atol=1e-11), plan
 
 
+def test_contract_in_log_space_matches():
+    """Past a scale of e^700 the contraction scales in log space: moving
+    e^348 from the first tensor into norm_log leaves its value as it was."""
+    spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=6)
+    im, kern, plans = _im(spec), floquet_kernel(spec), (None, czz_plan(6))
+    want = [temporal_contract(im, kern, plan) for plan in plans]
+    im.psi.norm_log += 348.0
+    im.psi.tensors[0] = im.psi.tensors[0] * math.exp(-348.0)
+    assert 2 * im.psi.norm_log >= 700.0
+    got = [temporal_contract(im, kern, plan) for plan in plans]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    assert abs(want[1]) > 1e-2
+
+
 def test_contract_uses_kernel_not_spec():
     # alpha enters through the kernel argument only
     spec = ModelSpec(J=0.31, g=0.57, h=0.23, T=3,

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from temporal_im import tensor
 from temporal_im.tensor import (DimensionError, FOLDED_BWD, FOLDED_FWD,
@@ -71,6 +71,12 @@ def test_svd_truncate_keeps_degenerate_multiplet_whole():
     v = np.linalg.qr(crand(5, 5))[0]
     f = svd_truncate((u * s) @ v, chi_max=5, cutoff=0.9)
     assert len(f.s) == 1 or len(f.s) == 4
+    # a pair equal to 1e-13 straddling the cutoff is kept whole: gesdd's
+    # value below the cutoff joins the one above it
+    s = np.array([1.0, 0.5, 0.5 * (1.0 - 1e-13), 1e-3, 1e-16])
+    f = svd_truncate((u * s) @ v, chi_max=5, cutoff=0.5 * (1.0 - 0.5e-13))
+    assert len(f.s) == 3 and f.s[2] < 0.5 * (1.0 - 0.5e-13) * f.s[0]
+    assert np.isclose(f.discarded_weight, 1e-6, rtol=1e-9, atol=0.0)
 
 
 def _planted(shape, dtype, s):
@@ -160,7 +166,9 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
     """The Gram cut gives way, and gesdd's factors come back bit for bit,
     where the block has no more values than the cap, where the first
     dropped value is below tau s_0, where a cutoff above tau would keep
-    fewer values than the cap, and where eigh fails."""
+    fewer values than the cap, where the last kept and the first dropped
+    value are too close for the kept block to be resolved, and where eigh
+    fails."""
     tau = tensor._GRAM_TAU
     calls = cut_spy(monkeypatch, "_gram_cut")
     s = [1.0, 0.5, 0.2, 5e-3, 4e-3, 3e-3, 2e-3, 1.5e-3]  # s_4 = 4 tau
@@ -171,6 +179,9 @@ def test_gram_cut_falls_back_to_gesdd(monkeypatch):
         (m, 4, 1e-2),  # the cutoff (1e-2 > tau > s_3) keeps 3 values
         # the unresolved tail of the tiny-discarded-weight zip-up test
         (np.array([[0, -1e-10, 0], [0, 0, 0], [1, 0, 0], [0, 0, 1e-11]]), 1, 0.0),
+        # s_3 and s_4 1e-4 apart (r = 1e6), then degenerate, across the cap
+        (_planted((16, 8), complex, s[:4] + [s[3] * (1 - 1e-4)] + s[5:]), 4, 0.0),
+        (_planted((8, 16), np.float64, s[:4] + s[3:7]), 4, 0.0),
     ]
     for block, chi, cutoff in cases:
         got = svd_truncate(block, chi_max=chi, cutoff=cutoff, hint=SweepHint(1.0))
@@ -217,12 +228,15 @@ def test_gram_cut_of_nan_block_raises(monkeypatch, shape):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(30, 20), (20, 30)]),
        st.integers(1, 12), st.sampled_from([0.0, 1e-12, 1e-3, 2e-3, 1e-2, 0.1]))
+@example(275, (30, 20), 4, 0.0)  # s_3 and s_4 1.6e-6 apart: r = 1.2e6
 def test_gram_cut_keeps_what_gesdd_keeps(seed, shape, chi, cutoff):
     """Over spectra that straddle tau and the cutoffs, the Gram path keeps
-    exactly as many values as gesdd's rule, and the same block to 1e-12."""
+    exactly as many values as gesdd's rule, and the same block to 1e-12.
+    The block is drawn from ``seed`` alone, so a failing example replays."""
     r = np.random.default_rng(seed)
     s = np.sort(10.0 ** r.uniform(-4.5, 0, size=min(shape)))[::-1]
-    m = _planted(shape, np.float64, s / s[0])
+    u, v = (np.linalg.qr(r.standard_normal((n, len(s))))[0] for n in shape)
+    m = (u * (s / s[0])) @ v.T
     g = svd_truncate(m, chi_max=chi, cutoff=cutoff, hint=SweepHint(1.0))
     d = svd_truncate(m, chi_max=chi, cutoff=cutoff)
     assert len(g.s) == len(d.s)

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from temporal_im import cli
+from temporal_im import cli, influence
 from temporal_im.cli import _KEYS, EXPERIMENTS, ConfigError, parse_config_text
+from temporal_im.models import ModelSpec
+from temporal_im.tensor import NumericalInstabilityError
 
 _VALUES = ("", ",", " , ", "0", "1", "-1", "2", "3,3", "1,2", "0.1", "-0.1",
            "0.04", "1e-12", "1e400", "nan", "-inf", "true", "no", "open",
@@ -115,6 +117,32 @@ def test_failing_svd_exits_3(tmp_path, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("experiment = floquet-czz\nJ = 0.8\ng = 0.7\nh = 0.6\n"
+                   "T_max = 2\nchi = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--out", str(out)]) == cli.EXIT_UNSTABLE
+    assert not (out / "run_manifest.json").exists()
+
+
+def test_degenerate_trace_exits_3(tmp_path, monkeypatch):
+    """An IM whose trivial-kernel contraction is 0 or not finite cannot be
+    trace-normalised: ``_normalize_trace`` raises, and a run that makes one
+    stops with exit 3 and no manifest."""
+    im = influence.solve_im(ModelSpec(J=0.8, g=0.7, h=0.6, T=2), chi_max=4)
+    first = im.psi.tensors[0]
+    for scale in (0.0, np.nan):
+        im.psi.tensors[0] = first * scale
+        with pytest.raises(NumericalInstabilityError, match="degenerate IM trace"):
+            influence._normalize_trace(im)
+    real_folded_mps = influence._folded_mps
+
+    def zeroed(psi, phase):
+        out = real_folded_mps(psi, phase)
+        out.tensors[0] = 0.0 * out.tensors[0]
+        return out
+
+    monkeypatch.setattr(influence, "_folded_mps", zeroed)
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("experiment = floquet-czz\nJ = 0.8\ng = 0.7\nh = 0.6\n"
                    "T_max = 2\nchi = 4\n")
