@@ -237,9 +237,13 @@ def _real_mps(psi: TemporalMps):
 
 def _folded_mps(psi: TemporalMps, phase: complex) -> TemporalMps:
     """Inverse of ``_real_mps``: back to the folded z basis, one 4x4 matmul
-    per site."""
+    per site.  It takes over ``psi``'s tensor list and rotates it in place,
+    each real tensor released as its folded twin is made, so the real and
+    the folded state are never whole at once; the result shares the list."""
     V = _real_basis(_BRANCH_SWAP)
-    tensors = [V @ A for A in psi.tensors]
+    tensors = psi.tensors
+    for k, A in enumerate(tensors):
+        tensors[k] = V @ A
     tensors[0] = tensors[0] * phase
     return TemporalMps(tensors, psi.norm_log, psi.canonical_center)
 
@@ -383,7 +387,13 @@ def _influence_matrix(psi: TemporalMps, phase: complex, spec: ModelSpec,
                       iterations: int, converged: bool,
                       diag: Dict[str, list], made_by: str) -> InfluenceMatrix:
     """The IM of the real-basis state ``psi`` from the solver ``made_by``:
-    rotated to the folded z basis with ``phase``, then trace-normalised."""
+    rotated to the folded z basis with ``phase``, then trace-normalised.
+
+    It takes over ``psi``: the rotation replaces each real tensor in
+    ``psi.tensors`` by its folded twin (``_folded_mps``), so a solve's peak
+    stays at its own iterates, not at the real state plus the folded IM.  A
+    caller whose state keeps stepping passes a copy of the tensor list.
+    """
     im = InfluenceMatrix(_folded_mps(psi, phase), spec, iterations, converged,
                          diag, made_by)
     _normalize_trace(im)
@@ -568,4 +578,5 @@ def grow_ims(spec: ModelSpec, chi_max: int,
         psi, weights = r.psi, weights + [r.discarded_weight]
         diag: Dict[str, list] = {"discarded_weight": weights}
         _record_entropies(diag, psi, r.entropies)
-        yield _influence_matrix(psi, 1.0, sub, 1, True, diag, "growth")
+        yield _influence_matrix(replace(psi, tensors=list(psi.tensors)), 1.0,
+                                sub, 1, True, diag, "growth")

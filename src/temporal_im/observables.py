@@ -167,12 +167,17 @@ def _left_sweep(psi: TemporalMps, w0: np.ndarray, dh: np.ndarray,
 
 
 def _scaled(val: complex, log_scale: float) -> complex:
+    """``val * exp(log_scale)``, in log space where the factor alone would
+    overflow; a product past the float range is a non-finite complex."""
     if log_scale < 700.0:
         return val * math.exp(log_scale)
     mag = abs(val)
     if mag == 0.0:
         return 0.0 + 0.0j
-    return val / mag * math.exp(math.log(mag) + log_scale)
+    try:
+        return val / mag * math.exp(math.log(mag) + log_scale)
+    except OverflowError:
+        return complex(math.inf, math.inf)
 
 
 def temporal_contract(im: InfluenceMatrix, kernel: LocalKernel,
@@ -200,10 +205,17 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
 
     Contracting a converged IM with an insertion at k followed by nothing
     but the trace equals the fresh length-k result, so a single solve
-    serves the whole series.  Left and right environments of the
-    insertion-free network are built once, the left ones as the scan reads
-    them; each k then costs one step.
+    serves the whole series.  The insertion at k joins the k-th left
+    environment of the insertion-free network, read as the left sweep
+    makes it, to the (k + 1)-th right one, so each k costs one step.
     base_plan may only hold time-0 entries.
+
+    The right environments are not all held at once: a first right-to-left
+    pass keeps only every s-th one, s = ceil(sqrt(T)), and each segment of
+    s is rebuilt from the checkpoint above it when the left sweep reaches
+    it.  The scan thus holds O(sqrt T) environments, not T, for one extra
+    right-to-left pass; each environment comes from the same operations
+    either way, so the values do not depend on s.
     """
     psi = im.psi
     T = psi.T
@@ -215,20 +227,38 @@ def _contract_scan(im: InfluenceMatrix, kernel: LocalKernel,
     link_ins, F_ins = _link(kernel, z), _cap(kernel, z)
     A = psi.tensors
 
-    rights = [None] * (T + 1)
-    rights[T] = F0.reshape(1, 1, 4)  # (a', b', p_{T-1}) with unit end bonds
-    for t in range(T - 1, 0, -1):
-        R = rights[t + 1]
+    def right(t: int, R: Optional[np.ndarray]) -> np.ndarray:
+        """The t-th right environment, (a', b', p_{t-1}), from the
+        (t + 1)-th ``R``; the T-th is the cap, with unit end bonds."""
+        if t == T:
+            return F0.reshape(1, 1, 4)
         t1 = A[t].transpose(1, 0, 2) @ R.transpose(2, 0, 1)   # (p, a, r)
         tmp = (t1 @ A[t].transpose(1, 2, 0)).transpose(1, 2, 0)  # (a, b, p)
-        rights[t] = np.dot(tmp.reshape(-1, 4), links[t - 1] * dh[:, None]).reshape(tmp.shape)
+        return np.dot(tmp.reshape(-1, 4), links[t - 1] * dh[:, None]).reshape(tmp.shape)
+
+    # segments [2 + j s, 2 + (j + 1) s) of the t = 2..T the scan reads; the
+    # checkpoints are the segment starts above the first
+    s = math.isqrt(T - 1) + 1
+    marks: Dict[int, np.ndarray] = {}
+    R = None
+    for t in range(T, 1 + s, -1):
+        R = right(t, R)
+        if (t - 2) % s == 0:
+            marks[t] = R
 
     log_scale = 2 * psi.norm_log
     out = np.empty(T, dtype=complex)
     lefts = _left_sweep(psi, w0, dh, links)  # each read once, in order
+    segment: List[np.ndarray] = []  # the current segment, next read at its end
     for k in range(1, T):
+        if not segment:
+            top = min(k + s, T)  # the segment's largest t
+            R = marks.pop(top + 1, None)
+            for t in range(top, k, -1):
+                R = right(t, R)
+                segment.append(R)
         E = _env_step(next(lefts), link_ins, dh, A[k])
-        out[k - 1] = _scaled(complex(np.sum(E * rights[k + 1])), log_scale)
+        out[k - 1] = _scaled(complex(np.sum(E * segment.pop())), log_scale)
     out[T - 1] = _scaled(complex(np.dot(next(lefts)[0, 0], F_ins)), log_scale)
     return out
 

@@ -1,4 +1,5 @@
 """Small helpers shared by test modules."""
+import tracemalloc
 from dataclasses import replace
 from typing import Tuple
 
@@ -30,6 +31,23 @@ def czz_plan(T: int) -> InsertionPlan:
     """sigma^z at time 0 and time T, forward branch: the autocorrelator."""
     return InsertionPlan([Insertion(0, "forward", "z"),
                           Insertion(T, "forward", "z")])
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs, above what was traced when
+    it started.  numpy reports its data buffers to tracemalloc, so this
+    counts every array ``fn`` holds at once, not the allocator's heap."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def blas_threads() -> Tuple[int, ...]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from temporal_im.models import Impurity, ModelSpec, floquet_kernel, trotterize
 from temporal_im.influence import solve_im
 from temporal_im.observables import (Insertion, InsertionPlan,
+                                     _contract_scan, _scaled,
                                      autocorrelator_series, entropy_series,
                                      quench_magnetization_series,
                                      temporal_contract)
@@ -79,6 +80,29 @@ def test_contract_in_log_space_matches():
     got = [temporal_contract(im, kern, plan) for plan in plans]
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
     assert abs(want[1]) > 1e-2
+
+
+def test_scaled_past_the_float_range_is_not_finite():
+    """A value scaled past the float range is a non-finite complex, which
+    the trace normalisation turns into ``NumericalInstabilityError``; a
+    zero stays zero at any scale."""
+    assert not np.isfinite(_scaled(1.0, 800.0))
+    assert _scaled(0.0, 800.0) == 0
+    assert _scaled(1.0, 700.0) == math.exp(700.0)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 5, 8, 9, 10, 16, 17])
+def test_scan_matches_contraction_at_every_insertion(T):
+    """The scan's k-th value is the network with sigma^z inserted at k, for
+    every k, across the edges of its sqrt(T) segments: squares of T and
+    one either side of each."""
+    spec = ModelSpec(J=0.8, g=0.7236, h=0.6472, T=T)
+    im, kern = solve_im(spec, chi_max=16, cutoff=0.0), floquet_kernel(spec)
+    base = [Insertion(0, "forward", "z")]
+    got = _contract_scan(im, kern, InsertionPlan(base))
+    want = [temporal_contract(im, kern, InsertionPlan(
+        base + [Insertion(k, "forward", "z")])) for k in range(1, T + 1)]
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_contract_uses_kernel_not_spec():

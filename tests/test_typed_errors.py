@@ -126,13 +126,14 @@ def test_failing_svd_exits_3(tmp_path, monkeypatch):
 
 
 def test_degenerate_trace_exits_3(tmp_path, monkeypatch):
-    """An IM whose trivial-kernel contraction is 0 or not finite cannot be
-    trace-normalised: ``_normalize_trace`` raises, and a run that makes one
-    stops with exit 3 and no manifest."""
+    """An IM whose trivial-kernel contraction is 0, not finite, or past the
+    float range (``norm_log`` raised by 400 scales it by e^800) cannot be
+    trace-normalised: ``_normalize_trace`` raises, and a run that makes
+    one stops with exit 3 and no manifest."""
     im = influence.solve_im(ModelSpec(J=0.8, g=0.7, h=0.6, T=2), chi_max=4)
-    first = im.psi.tensors[0]
-    for scale in (0.0, np.nan):
-        im.psi.tensors[0] = first * scale
+    first, log = im.psi.tensors[0], im.psi.norm_log
+    for scale, raised in ((0.0, 0.0), (np.nan, 0.0), (1.0, 400.0)):
+        im.psi.tensors[0], im.psi.norm_log = first * scale, log + raised
         with pytest.raises(NumericalInstabilityError, match="degenerate IM trace"):
             influence._normalize_trace(im)
     real_folded_mps = influence._folded_mps
